@@ -2,7 +2,8 @@
 # runs the race detector over the concurrent packages; `make bench`
 # records the serial-vs-parallel TableIV wall time; `make bench-json`
 # emits the machine-readable benchmark report; `make fuzz-smoke` gives
-# each parser fuzzer a 30 s budget; `make profile` captures CPU and
+# each parser fuzzer a 30 s budget and the top-K path enumerator's
+# oracle fuzzer 10 s; `make profile` captures CPU and
 # heap profiles of the Table IV pipeline; `make serve-smoke` boots the
 # dmopt-serve daemon, runs one job through it and scrapes /metrics;
 # `make wafer-smoke` runs a tiny consensus wafer end-to-end and proves
@@ -37,13 +38,14 @@ bench:
 # backend).  Built as a binary (not `go run`) so the toolchain stamps
 # vcs.revision into the report's git_rev field.  Also runs the CG vs
 # LDLᵀ micro-benchmark on the cut-pool matrix, the parallel numeric
-# factorization sweep, the multi-RHS supernodal solve sweep, and the
-# τ-Newton bisection benchmark.  The tables run covers Table IV plus the
+# factorization sweep, the multi-RHS supernodal solve sweep, the
+# τ-Newton bisection benchmark, and the K = 10 000 top-path extraction.  The tables run covers Table IV plus the
 # actuator ablation (Table X), so the report times the joint dose+bias
 # solves alongside the dose-only pipeline.
 bench-json:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'LinSys|TauNewton|WaferSolve' -benchtime 3x
 	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTParallelFactor|SupernodalSolve' -benchtime 20x
+	$(GO) test ./internal/sta/ -run '^$$' -bench 'TopPaths' -benchtime 10x
 	$(GO) build -o tables.bin ./cmd/tables
 	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json BENCH_pr10.json
 	rm -f tables.bin
@@ -61,10 +63,12 @@ serve-smoke:
 	./scripts/serve_smoke.sh ./dmopt-serve.bin
 	rm -f dmopt-serve.bin
 
-# 30-second CI smoke of each native fuzz target (corpus + new inputs).
+# CI smoke of each native fuzz target (corpus + new inputs): 30 s per
+# parser, 10 s for the path enumerator against its oracle.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzParseNetlist -fuzztime 30s -run ^$$
 	$(GO) test ./internal/liberty/ -fuzz FuzzParseLiberty -fuzztime 30s -run ^$$
+	$(GO) test ./internal/sta/ -fuzz FuzzTopPathsDAG -fuzztime 10s -run ^$$
 
 # Profile the dominant pipeline (Table IV at bench scale); inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

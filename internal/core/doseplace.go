@@ -34,7 +34,9 @@ type DosePlOptions struct {
 	Gamma4 float64
 	// Gamma5 caps the number of swaps per round (1).
 	Gamma5 int
-	// MaxPathStates bounds path enumeration work.
+	// MaxPathStates bounds path enumeration work: extraction stops after
+	// popping this many prefix states from the search frontier (0 means
+	// no limit).
 	MaxPathStates int
 }
 
@@ -118,11 +120,19 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 	grid := layers.Poly.Grid
 	ranked := rankGridsByDose(layers.Poly)
 
-	// cellsOf maps grid cells to member cells for candidate lookup.  It
-	// is rebuilt only after an accepted round: a rollback restores the
-	// exact placement the current index was built from.
-	var cellsOf [][]int
-	plDirty := true
+	// The round's top-K paths with their critical set and weights
+	// (Eq. 13), and cellsOf, which maps grid cells to member cells for
+	// candidate lookup, are rebuilt only on the first round and after an
+	// accepted one: a rollback restores the exact placement and timing
+	// they were built from, so rebuilding would reproduce them bit for
+	// bit.
+	var (
+		paths    []*sta.Path
+		critical map[int]bool
+		weight   map[int]float64
+		cellsOf  [][]int
+	)
+	stale := true
 
 	for round := 0; round < dopt.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -135,25 +145,22 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 		snapW := append([]float64(nil), pl.Width...)
 		snapT := tm.Snapshot()
 
-		paths := cur.TopPaths(dopt.K, dopt.MaxPathStates)
-		if len(paths) == 0 {
-			break
-		}
-		// Critical set and weights (Eq. 13): W(cell) = Σ exp(-slack(C)).
-		critical := make(map[int]bool)
-		weight := make(map[int]float64)
-		for _, p := range paths {
-			slackNs := p.Slack(cur.MCT) / 1000
-			w := math.Exp(-slackNs)
-			for _, id := range p.Nodes {
-				if in.Masters[id] == nil {
-					continue
+		if stale {
+			paths = cur.TopPaths(dopt.K, dopt.MaxPathStates)
+			// Critical set and weights (Eq. 13): W(cell) = Σ exp(-slack(C)).
+			critical = make(map[int]bool)
+			weight = make(map[int]float64)
+			for _, p := range paths {
+				slackNs := p.Slack(cur.MCT) / 1000
+				w := math.Exp(-slackNs)
+				for _, id := range p.Nodes {
+					if in.Masters[id] == nil {
+						continue
+					}
+					critical[id] = true
+					weight[id] += w
 				}
-				critical[id] = true
-				weight[id] += w
 			}
-		}
-		if plDirty {
 			cellsOf = make([][]int, grid.Cells())
 			for id := range circ.Gates {
 				if in.Masters[id] == nil {
@@ -163,7 +170,13 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 				f := grid.Flat(gi, gj)
 				cellsOf[f] = append(cellsOf[f], id)
 			}
-			plDirty = false
+			stale = false
+			obs.Add(ctx, "core/dosepl_path_extractions", 1)
+		} else {
+			obs.Add(ctx, "core/dosepl_path_reuses", 1)
+		}
+		if len(paths) == 0 {
+			break
 		}
 
 		numSwaps := 0
@@ -209,7 +222,7 @@ func DosePlCtx(ctx context.Context, golden *sta.Result, layers dosemap.Layers, o
 		if accepted {
 			best = evalAfter
 			cur = r2
-			plDirty = true
+			stale = true
 			obs.Add(ctx, "core/dosepl_rounds_accepted", 1)
 		} else {
 			copy(pl.X, snapX)

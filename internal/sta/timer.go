@@ -484,7 +484,7 @@ func (t *Timer) incrementalBackward() {
 // cheap rollback (e.g. dosePl rejecting a swap round).
 type TimerState struct {
 	aout, aend, rout, slew, inslew, load []float64
-	dl, dw                               []float64
+	dl, dw, dvth                         []float64
 	px, py                               []float64
 	mct                                  float64
 	critEnd                              int
@@ -505,6 +505,7 @@ func (t *Timer) Snapshot() *TimerState {
 		load:    append([]float64(nil), r.Load...),
 		dl:      append([]float64(nil), t.pert.DL...),
 		dw:      append([]float64(nil), t.pert.DW...),
+		dvth:    append([]float64(nil), t.pert.DVth...),
 		px:      append([]float64(nil), t.prevX...),
 		py:      append([]float64(nil), t.prevY...),
 		mct:     r.MCT,
@@ -527,6 +528,7 @@ func (t *Timer) Restore(s *TimerState) {
 	copy(r.Load, s.load)
 	copy(t.pert.DL, s.dl)
 	copy(t.pert.DW, s.dw)
+	copy(t.pert.DVth, s.dvth)
 	copy(t.prevX, s.px)
 	copy(t.prevY, s.py)
 	r.MCT = s.mct

@@ -258,6 +258,48 @@ func TestTimerSnapshotRestore(t *testing.T) {
 	checkAgainstCold(t, "post-restore-swap", in, cfg, snapPert, got)
 }
 
+// TestTimerRestoreBias asserts rollback covers the threshold-voltage
+// shift: after Update(DVth₁) → Snapshot → Update(DVth₂) → Restore, the
+// timer must behave exactly like one that never left DVth₁ — its arc
+// delays match a cold analysis, re-applying DVth₁ is bit-identical to
+// a cold Analyze, and applying DVth₂ again re-times every shifted gate.
+func TestTimerRestoreBias(t *testing.T) {
+	in := mesh(t, 9)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	n := in.Circ.NumGates()
+	tm, err := NewTimer(in, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := placedCells(in)
+	rng := rand.New(rand.NewSource(10))
+	bias := func() *Perturb {
+		p := &Perturb{DL: make([]float64, n), DVth: make([]float64, n)}
+		for _, id := range cells {
+			p.DL[id] = -2
+			p.DVth[id] = -0.1 + 0.2*rng.Float64()
+		}
+		return p
+	}
+	p1, p2 := bias(), bias()
+
+	tm.Update(p1)
+	snap := tm.Snapshot()
+	tm.Update(p2)
+	tm.Restore(snap)
+
+	ref, err := Analyze(in, cfg, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffPaths(tm.Result().TopPaths(100, 0), ref.TopPaths(100, 0)); d != "" {
+		t.Fatalf("restored arc delays: %s", d)
+	}
+	checkAgainstCold(t, "re-apply DVth1", in, cfg, p1, tm.Update(p1))
+	checkAgainstCold(t, "apply DVth2", in, cfg, p2, tm.Update(p2))
+}
+
 // regionPert builds the dense gate-length delta of a uniform dose delta
 // applied to one grid-cell-sized region of the chip, zero elsewhere —
 // the single-grid dirty pattern of a DMopt dose-map refinement.
