@@ -1,9 +1,11 @@
 # Development checks.  `make check` is the tier-1 gate; `make race`
 # runs the race detector over the concurrent packages; `make bench`
 # records the serial-vs-parallel TableIV wall time; `make bench-json`
-# emits the machine-readable benchmark report; `make fuzz-smoke` gives
-# each parser fuzzer a 30 s budget and the top-K path enumerator's
-# oracle fuzzer 10 s; `make profile` captures CPU and
+# emits the machine-readable benchmark report; `make bench-digests`
+# checks every benchmark workload's seed-0 result digest against its
+# pinned value; `make fuzz-smoke` gives each parser fuzzer a 30 s
+# budget and the top-K path enumerator's oracle fuzzer and the job-spec
+# admission fuzzer 10 s each; `make profile` captures CPU and
 # heap profiles of the Table IV pipeline; `make serve-smoke` boots the
 # dmopt-serve daemon, runs one job through it and scrapes /metrics;
 # `make wafer-smoke` runs a tiny consensus wafer end-to-end and proves
@@ -11,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-json fuzz-smoke profile serve-smoke wafer-smoke all
+.PHONY: check vet build test race bench bench-json bench-digests fuzz-smoke profile serve-smoke wafer-smoke all
 
 all: check
 
@@ -39,16 +41,22 @@ bench:
 # vcs.revision into the report's git_rev field.  Also runs the CG vs
 # LDLᵀ micro-benchmark on the cut-pool matrix, the parallel numeric
 # factorization sweep, the multi-RHS supernodal solve sweep, the
-# τ-Newton bisection benchmark, and the K = 10 000 top-path extraction.  The tables run covers Table IV plus the
+# cut-round append set-up (with allocations), the τ-Newton bisection
+# benchmark, and the K = 10 000 top-path extraction.  The tables run covers Table IV plus the
 # actuator ablation (Table X), so the report times the joint dose+bias
 # solves alongside the dose-only pipeline.
 bench-json:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'LinSys|TauNewton|WaferSolve' -benchtime 3x
-	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTParallelFactor|SupernodalSolve' -benchtime 20x
+	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTParallelFactor|SupernodalSolve|CutAppend' -benchtime 20x
 	$(GO) test ./internal/sta/ -run '^$$' -bench 'TopPaths' -benchtime 10x
 	$(GO) build -o tables.bin ./cmd/tables
 	./tables.bin -scale 0.15 -k 2000 -which iv,x -bench-json BENCH_pr10.json
 	rm -f tables.bin
+
+# Bit-identity gate over the benchmark workloads (seed 0, one second
+# each): fails on a failed check or a digest that moved.
+bench-digests:
+	bash scripts/bench_digests.sh
 
 # Tiny wafer end-to-end: the 12-field consensus smoke plus the
 # worker/permutation bit-identity proof (serial vs parallel dispatch).
@@ -64,11 +72,13 @@ serve-smoke:
 	rm -f dmopt-serve.bin
 
 # CI smoke of each native fuzz target (corpus + new inputs): 30 s per
-# parser, 10 s for the path enumerator against its oracle.
+# parser, 10 s for the path enumerator against its oracle and 10 s for
+# the job-spec admission path.
 fuzz-smoke:
 	$(GO) test ./internal/netlist/ -fuzz FuzzParseNetlist -fuzztime 30s -run ^$$
 	$(GO) test ./internal/liberty/ -fuzz FuzzParseLiberty -fuzztime 30s -run ^$$
 	$(GO) test ./internal/sta/ -fuzz FuzzTopPathsDAG -fuzztime 10s -run ^$$
+	$(GO) test ./internal/serve/ -fuzz FuzzJobSpec -fuzztime 10s -run ^$$
 
 # Profile the dominant pipeline (Table IV at bench scale); inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`.

@@ -131,7 +131,7 @@ func (c *Compiled) predictAsn(asn Assignment) (mct, dleakNW float64) {
 		}
 		return v
 	}
-	_, mct = linearArrivalsOrder(c.Golden, c.order, deltaOf)
+	_, mct = linearArrivalsOrder(c.Golden, c.order, newArcTable(c.Golden), deltaOf)
 
 	n := c.Golden.In.Circ.NumGates()
 	dleak := 0.0

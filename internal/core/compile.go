@@ -320,10 +320,13 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	c.fixedA, c.fixedL, c.fixedU = compileFixedRows(grid, c.NG, c.NVar, co, c.Blocks)
 
 	// Pruning state (node assembly) and the QCP lower bound.
+	// The arc table lives only for this compile: the artifact keeps no
+	// copy, so its footprint (and the cache's accounting) is unchanged.
+	arcs := newArcTable(golden)
 	worstDelta := func(id int) float64 { return maxDelayDeltaFor(model, co, id) }
-	c.worstArr, _ = linearArrivalsOrder(golden, order, worstDelta)
-	c.worstSuf = linearSuffixOrder(golden, order, worstDelta)
-	_, c.fastMCT = linearArrivalsOrder(golden, order, func(id int) float64 {
+	c.worstArr, _ = linearArrivalsOrder(golden, order, arcs, worstDelta)
+	c.worstSuf = linearSuffixOrder(golden, order, arcs, worstDelta)
+	_, c.fastMCT = linearArrivalsOrder(golden, order, arcs, func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
 		}
@@ -471,18 +474,60 @@ func minDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
 	return math.Min(v, 0)
 }
 
+// arcTable tabulates the frozen golden arc delays, aligned with each
+// gate's Fanins: d[ptr[id]+k] = golden.ArcDelay(Fanins[k], id).  The
+// linear timing model reads every arc once per evaluation, and each
+// golden ArcDelay re-runs a wire-delay and device-model evaluation, so
+// a run that evaluates the model many times (the cut rounds, the wafer
+// fields) tabulates once and reads the table.  Lookups return the very
+// values ArcDelay computes, so results are bit-identical.  A table is
+// scoped to one compile, solve or wafer run and never stored in a
+// cached artifact.
+type arcTable struct {
+	golden *sta.Result
+	ptr    []int
+	d      []float64
+}
+
+func newArcTable(golden *sta.Result) *arcTable {
+	gates := golden.In.Circ.Gates
+	t := &arcTable{golden: golden, ptr: make([]int, len(gates)+1)}
+	for id, g := range gates {
+		t.ptr[id+1] = t.ptr[id] + len(g.Fanins)
+	}
+	t.d = make([]float64, t.ptr[len(gates)])
+	for id, g := range gates {
+		for k, fi := range g.Fanins {
+			t.d[t.ptr[id]+k] = golden.ArcDelay(fi, id)
+		}
+	}
+	return t
+}
+
+// arc returns the delay of edge from→to, found among to's fanins
+// (parallel pins fed by one gate carry the same arc delay).  A pair
+// that is not an edge falls back to the golden evaluation.
+func (t *arcTable) arc(from, to int) float64 {
+	for k, fi := range t.golden.In.Circ.Gates[to].Fanins {
+		if fi == from {
+			return t.d[t.ptr[to]+k]
+		}
+	}
+	return t.golden.ArcDelay(from, to)
+}
+
 // linearArrivals runs a forward pass over the frozen golden arc delays
 // with the given per-gate delay deltas, returning per-gate output
 // arrivals and the resulting MCT.  This is the optimizer's linear timing
 // model (Eq. 5/10) evaluated at a concrete dose assignment.
 func linearArrivals(golden *sta.Result, delta func(id int) float64) ([]float64, float64) {
 	order, _ := golden.In.Circ.TopoOrder()
-	return linearArrivalsOrder(golden, order, delta)
+	return linearArrivalsOrder(golden, order, newArcTable(golden), delta)
 }
 
 // linearArrivalsOrder is linearArrivals borrowing a precomputed
-// topological order (the compile artifact's), saving the per-call sort.
-func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) float64) ([]float64, float64) {
+// topological order (the compile artifact's) and arc table.
+func linearArrivalsOrder(golden *sta.Result, order []int, arcs *arcTable, delta func(id int) float64) ([]float64, float64) {
 	in := golden.In
 	n := in.Circ.NumGates()
 	arr := make([]float64, n)
@@ -495,19 +540,20 @@ func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) flo
 	mct := 0.0
 	for _, id := range order {
 		g := in.Circ.Gates[id]
+		ad := arcs.d[arcs.ptr[id]:arcs.ptr[id+1]]
 		switch g.Kind {
 		case netlist.Comb:
 			best := 0.0
-			for _, fi := range g.Fanins {
-				if a := arr[fi] + golden.ArcDelay(fi, id) + delta(id); a > best {
+			for k, fi := range g.Fanins {
+				if a := arr[fi] + ad[k] + delta(id); a > best {
 					best = a
 				}
 			}
 			arr[id] = best
 		case netlist.PO, netlist.Seq:
 			best := 0.0
-			for _, fi := range g.Fanins {
-				if a := arr[fi] + golden.ArcDelay(fi, id); a > best {
+			for k, fi := range g.Fanins {
+				if a := arr[fi] + ad[k]; a > best {
 					best = a
 				}
 			}
@@ -528,7 +574,7 @@ func linearArrivalsOrder(golden *sta.Result, order []int, delta func(id int) flo
 // any endpoint under the given per-gate deltas (analogous to the
 // path-search suffix but on the linear model), over a precomputed
 // topological order.
-func linearSuffixOrder(golden *sta.Result, order []int, delta func(id int) float64) []float64 {
+func linearSuffixOrder(golden *sta.Result, order []int, arcs *arcTable, delta func(id int) float64) []float64 {
 	in := golden.In
 	n := in.Circ.NumGates()
 	suf := make([]float64, n)
@@ -540,7 +586,7 @@ func linearSuffixOrder(golden *sta.Result, order []int, delta func(id int) float
 		best := math.Inf(-1)
 		for _, fo := range g.Fanouts {
 			fog := in.Circ.Gates[fo]
-			arc := golden.ArcDelay(id, fo)
+			arc := arcs.arc(id, fo)
 			var v float64
 			switch fog.Kind {
 			case netlist.PO, netlist.Seq:
@@ -585,7 +631,7 @@ func (c *Compiled) predict(layers dosemap.Layers) (mct, dleakNW float64) {
 		}
 		return v
 	}
-	_, mct = linearArrivalsOrder(c.Golden, c.order, deltaOf)
+	_, mct = linearArrivalsOrder(c.Golden, c.order, newArcTable(c.Golden), deltaOf)
 	n := c.Golden.In.Circ.NumGates()
 	dP := make([]float64, n)
 	var dA []float64

@@ -23,7 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/dosemap"
@@ -47,6 +48,7 @@ type cutPool struct {
 	mu   sync.Mutex
 	cuts []cut
 	seen map[string]bool
+	key  []byte // signature scratch, guarded by mu
 }
 
 // snapshot returns the current cuts.  The returned slice is never
@@ -61,13 +63,13 @@ func (p *cutPool) snapshot() []cut {
 // add appends c unless an equivalent cut is already pooled; it reports
 // whether the cut was new.
 func (p *cutPool) add(c cut) bool {
-	sig := c.signature()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.seen[sig] {
+	p.key = c.appendSignature(p.key[:0])
+	if p.seen[string(p.key)] { // the compiler looks this up without allocating
 		return false
 	}
-	p.seen[sig] = true
+	p.seen[string(p.key)] = true
 	p.cuts = append(p.cuts, c)
 	return true
 }
@@ -130,6 +132,16 @@ type cutSolver struct {
 	// rec is the telemetry recorder, refreshed from the context at each
 	// solveTau entry (ensure has no context of its own).
 	rec *obs.Recorder
+
+	// arcs tabulates the golden arc delays for this run's cut rounds,
+	// built on first use (see arcTab).  acc and hit are makeCut's dense
+	// per-column accumulator, all zero/false between calls, and touched
+	// its column list.  Clones share arcs read-only but get their own
+	// makeCut scratch.
+	arcs    *arcTable
+	acc     []float64
+	hit     []bool
+	touched []int
 }
 
 // clone returns a probe-local copy sharing the read-only problem data
@@ -144,6 +156,7 @@ func (cs *cutSolver) clone() *cutSolver {
 	cp.solver = nil
 	cp.prob = nil
 	cp.builtCuts = 0
+	cp.acc, cp.hit, cp.touched = nil, nil, nil
 	return &cp
 }
 
@@ -333,10 +346,18 @@ func (cs *cutSolver) deltaFn(x []float64) func(id int) float64 {
 }
 
 // makeCut converts a path (from the linear-model enumeration at the
-// iterate x) into a constraint row over all actuator variables.
+// iterate x) into a constraint row over all actuator variables.  Each
+// column's coefficient accumulates in path order in a dense scratch
+// row, starting from zero; columns are emitted sorted, which fixes the
+// order of the floating-point sum below and so keeps cut.nom (hence the
+// whole solve trajectory) deterministic.
 func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 	c := cs.comp
-	coeff := map[int]float64{}
+	if cs.acc == nil {
+		cs.acc = make([]float64, cs.nVar)
+		cs.hit = make([]bool, cs.nVar)
+	}
+	acc, hit, touched := cs.acc, cs.hit, cs.touched[:0]
 	for i, id := range p.Nodes {
 		s, e := c.sensPtr[id], c.sensPtr[id+1]
 		if s == e {
@@ -349,38 +370,77 @@ func (cs *cutSolver) makeCut(p *sta.Path, x []float64) cut {
 		isLaunch := i == 0 && kind == netlist.Seq
 		if kind == netlist.Comb || isLaunch {
 			for k := s; k < e; k++ {
-				coeff[c.sensCol[k]] += c.sensVal[k]
+				col := c.sensCol[k]
+				if !hit[col] {
+					hit[col] = true
+					touched = append(touched, col)
+				}
+				acc[col] += c.sensVal[k]
 			}
 		}
 	}
-	// Emit columns in sorted order: map iteration order would vary run
-	// to run, reassociating the floating-point sum below and making
-	// cut.nom (hence the whole solve trajectory) nondeterministic.
-	cols := make([]int, 0, len(coeff))
-	for col := range coeff {
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	out := cut{}
+	slices.Sort(touched)
+	out := cut{cols: make([]int, len(touched)), vals: make([]float64, len(touched))}
 	lin := 0.0
-	for _, col := range cols {
-		v := coeff[col]
-		out.cols = append(out.cols, col)
-		out.vals = append(out.vals, v)
+	for i, col := range touched {
+		v := acc[col]
+		acc[col], hit[col] = 0, false
+		out.cols[i], out.vals[i] = col, v
 		lin += v * x[col]
 	}
+	cs.touched = touched
 	out.nom = p.Delay - lin
 	return out
 }
 
-func (c cut) signature() string {
-	// Columns are emitted sorted by makeCut, so the signature is
-	// canonical as-is.
-	s := fmt.Sprintf("%.2f|", c.nom)
-	for i := range c.cols {
-		s += fmt.Sprintf("%d:%.4f;", c.cols[i], c.vals[i])
+// appendSignature appends the cut's pool key to b: the nominal delay
+// at two decimals, then column:coefficient pairs at four, byte for byte
+// the fmt "%.2f|" and "%d:%.4f;" forms (strconv's 'f' format is what fmt
+// prints for finite, infinite and NaN values alike).  Columns are
+// emitted sorted by makeCut, so the key is canonical as-is.
+func (c cut) appendSignature(b []byte) []byte {
+	b = strconv.AppendFloat(b, c.nom, 'f', 2, 64)
+	b = append(b, '|')
+	for i, col := range c.cols {
+		b = strconv.AppendInt(b, int64(col), 10)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, c.vals[i], 'f', 4, 64)
+		b = append(b, ';')
 	}
-	return s
+	return b
+}
+
+// arcTab returns the run's golden arc table, building it on first use.
+func (cs *cutSolver) arcTab() *arcTable {
+	if cs.arcs == nil {
+		cs.arcs = newArcTable(cs.comp.Golden)
+	}
+	return cs.arcs
+}
+
+// topPaths enumerates the k longest paths of the linear timing model
+// under the per-gate deltas: golden arcs plus the delta of every
+// combinational receiver, launch weights plus the launching register's
+// delta.
+func (cs *cutSolver) topPaths(delta func(id int) float64, k int) []*sta.Path {
+	c := cs.comp
+	gates := c.Golden.In.Circ.Gates
+	arcs := cs.arcTab()
+	arcFn := func(from, to int) float64 {
+		a := arcs.arc(from, to)
+		if gates[to].Kind == netlist.Comb {
+			a += delta(to)
+		}
+		return a
+	}
+	startFn := func(id int) float64 {
+		s := c.Golden.StartWeight(id)
+		if gates[id].Kind == netlist.Seq {
+			s += delta(id)
+		}
+		return s
+	}
+	return sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight, k, 0)
 }
 
 // buildProblem assembles the current QP: the compiled box/smoothness
@@ -496,29 +556,13 @@ func (cs *cutSolver) solveTau(ctx context.Context, tau, xiNW float64) (obj float
 			return o, false, nil
 		}
 		delta := cs.deltaFn(cs.x)
-		_, mct := linearArrivalsOrder(c.Golden, c.order, delta)
+		_, mct := linearArrivalsOrder(c.Golden, c.order, cs.arcTab(), delta)
 		if mct <= tau+tolPs {
 			return o, true, nil
 		}
 		// Generate violated path cuts.
-		arcFn := func(from, to int) float64 {
-			a := c.Golden.ArcDelay(from, to)
-			if c.Golden.In.Circ.Gates[to].Kind == netlist.Comb {
-				a += delta(to)
-			}
-			return a
-		}
-		startFn := func(id int) float64 {
-			s := c.Golden.StartWeight(id)
-			if c.Golden.In.Circ.Gates[id].Kind == netlist.Seq {
-				s += delta(id)
-			}
-			return s
-		}
-		paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
-			perRound, 0)
 		added := 0
-		for _, p := range paths {
+		for _, p := range cs.topPaths(delta, perRound) {
 			if p.Delay <= tau+tolPs/2 {
 				break // paths arrive in non-increasing delay order
 			}

@@ -15,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/qp"
-	"repro/internal/sta"
 )
 
 // solveTauGroup runs one cutting-plane probe for every member of a
@@ -143,7 +141,7 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau float64) (objs []f
 			objs[i] = cs.objective(cs.x)
 			cs.recordTangent(tau, objs[i], res.Y)
 			delta := cs.deltaFn(cs.x)
-			_, mct := linearArrivalsOrder(c.Golden, c.order, delta)
+			_, mct := linearArrivalsOrder(c.Golden, c.order, cs.arcTab(), delta)
 			if mct <= tau+tolPs {
 				done[i] = true
 				feas[i] = true
@@ -151,24 +149,8 @@ func solveTauGroup(ctx context.Context, css []*cutSolver, tau float64) (objs []f
 			}
 			// Violated path cuts from this member's iterate, appended in
 			// member order so the shared pool grows deterministically.
-			arcFn := func(from, to int) float64 {
-				a := c.Golden.ArcDelay(from, to)
-				if c.Golden.In.Circ.Gates[to].Kind == netlist.Comb {
-					a += delta(to)
-				}
-				return a
-			}
-			startFn := func(id int) float64 {
-				s := c.Golden.StartWeight(id)
-				if c.Golden.In.Circ.Gates[id].Kind == netlist.Seq {
-					s += delta(id)
-				}
-				return s
-			}
-			paths := sta.TopPathsDAG(c.Golden.In.Circ, c.order, arcFn, startFn, c.Golden.EndWeight,
-				perRound, 0)
 			added := 0
-			for _, p := range paths {
+			for _, p := range cs.topPaths(delta, perRound) {
 				if p.Delay <= tau+tolPs/2 {
 					break // paths arrive in non-increasing delay order
 				}

@@ -196,8 +196,9 @@ func (cs *cutSolver) refreshLinear() error {
 // effective-dose space: the box rows and options shift by the virtual
 // bias dose δ, the QCP lower bound is recomputed for the shifted range,
 // and everything else (grid maps, objective, smoothness rows, golden,
-// model) is borrowed from the base.
-func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Options) {
+// model) is borrowed from the base.  arcs is the wafer run's golden arc
+// table.
+func deriveField(base *Compiled, opt Options, biasDose float64, arcs *arcTable) (*Compiled, Options) {
 	d := *base
 	d.Opts.DoseLo += biasDose
 	d.Opts.DoseHi += biasDose
@@ -210,7 +211,7 @@ func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Opti
 	d.fixedL, d.fixedU = fl, fu
 	in := base.Golden.In
 	model, co := base.Model, d.Opts
-	_, d.fastMCT = linearArrivalsOrder(base.Golden, base.order, func(id int) float64 {
+	_, d.fastMCT = linearArrivalsOrder(base.Golden, base.order, arcs, func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
 		}
@@ -231,8 +232,8 @@ func deriveField(base *Compiled, opt Options, biasDose float64) (*Compiled, Opti
 // the e variables; the moving linear target lives in doseQ's e entries.
 // Returns the widened artifact, the shifted options and the index of
 // the first e variable.
-func deriveConsensus(base *Compiled, opt Options, biasDose, rhoW float64) (*Compiled, Options, int) {
-	d, fopt := deriveField(base, opt, biasDose)
+func deriveConsensus(base *Compiled, opt Options, biasDose, rhoW float64, arcs *arcTable) (*Compiled, Options, int) {
+	d, fopt := deriveField(base, opt, biasDose, arcs)
 	nG, grid := base.NG, base.Grid
 	nCols, nRows := grid.N, grid.M
 	sBase := nG
@@ -327,7 +328,7 @@ type groupOutcome struct {
 // the common clock period tau: parallel-safe (everything is local), but
 // internally serial over the group members so the averaging order — and
 // therefore every float — is fixed.
-func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferGroup, tau, rhoW float64, wopt WaferOptions) (*groupOutcome, error) {
+func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferGroup, tau, rhoW float64, wopt WaferOptions, arcs *arcTable) (*groupOutcome, error) {
 	grid := base.Grid
 	nG, nCols := base.NG, grid.N
 	out := &groupOutcome{z: make([]float64, nCols)}
@@ -347,8 +348,9 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 	members := make([]*member, len(gr.biases))
 	css := make([]*cutSolver, len(gr.biases))
 	for i, b := range gr.biases {
-		fc, fopt, eBase := deriveConsensus(base, opt, b/tech.DoseSensitivity, rhoW)
+		fc, fopt, eBase := deriveConsensus(base, opt, b/tech.DoseSensitivity, rhoW, arcs)
 		cs := newCutSolverCompiled(fc, fopt)
+		cs.arcs = arcs
 		cs.clampN = nG
 		cs.privatizeLinear()
 		cs.pool = pool
@@ -565,6 +567,9 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 
 	workers := par.Workers(opt.Workers)
 	in := c.Golden.In
+	// One golden arc table for the whole run: every field derives from
+	// the same golden, and the table is read-only once built.
+	arcs := newArcTable(c.Golden)
 
 	// Stage A: uniform nominal dose — golden signoff of each distinct
 	// bias applied as a uniform ΔL.
@@ -588,7 +593,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		pred float64
 	}
 	uncoupled, err := par.Map(ctx, len(biases), workers, func(i int) (uncoupledOut, error) {
-		fc, fopt := deriveField(c, opt, biases[i]/tech.DoseSensitivity)
+		fc, fopt := deriveField(c, opt, biases[i]/tech.DoseSensitivity, arcs)
 		r, err := SolveQCP(ctx, QCPRequest{Compiled: fc, Opt: fopt})
 		if err != nil {
 			return uncoupledOut{}, fmt.Errorf("core: uncoupled field solve (bias %.2f nm): %w", biases[i], err)
@@ -679,7 +684,7 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 		if proc != nil {
 			gi = proc[i]
 		}
-		o, err := solveWaferGroup(ctx, c, opt, groups[gi], tau, rhoW, wopt)
+		o, err := solveWaferGroup(ctx, c, opt, groups[gi], tau, rhoW, wopt, arcs)
 		if err != nil {
 			return struct{}{}, err
 		}

@@ -48,9 +48,10 @@
 package qp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -169,6 +170,10 @@ type ldltFactor struct {
 	// the qp/parallel_factor_levels telemetry feed.
 	lastParLevels int
 
+	// nSymbolic counts symbolic() passes — the qp/symbolic_passes
+	// telemetry feed.
+	nSymbolic int64
+
 	// Scratch reused across factorizations and solves.  w backs the
 	// serial numeric kernel and every single-RHS solve; wk holds one
 	// all-zero dense workspace per factorization worker (the supernode
@@ -264,30 +269,61 @@ func fillOf(adj *CSR, perm, iperm, parent, flag []int) int {
 }
 
 // adjacencyOf builds the symmetric adjacency structure of K (off-
-// diagonal pattern of P plus the per-row cliques of A) as a CSR graph.
+// diagonal pattern of P plus the per-row cliques of A) as a CSR graph
+// with ascending, distinct columns per row.  Two counting passes place
+// every contribution in its row; each row is then sorted and
+// deduplicated in place.  Only the structure is built (Val stays nil):
+// the orderings read RowPtr and Col alone.
 func adjacencyOf(p *CSR, a *CSR, n int) *CSR {
-	t := NewTriplet(n, n)
-	if p != nil {
-		for r := 0; r < p.M; r++ {
-			for k := p.RowPtr[r]; k < p.RowPtr[r+1]; k++ {
-				if c := p.Col[k]; c != r {
-					t.Add(r, c, 1)
+	each := func(add func(i, j int)) {
+		if p != nil {
+			for r := 0; r < p.M; r++ {
+				for k := p.RowPtr[r]; k < p.RowPtr[r+1]; k++ {
+					if c := p.Col[k]; c != r {
+						add(r, c)
+					}
+				}
+			}
+		}
+		if a != nil {
+			for r := 0; r < a.M; r++ {
+				lo, hi := a.RowPtr[r], a.RowPtr[r+1]
+				for i := lo; i < hi; i++ {
+					for j := i + 1; j < hi; j++ {
+						add(a.Col[i], a.Col[j])
+						add(a.Col[j], a.Col[i])
+					}
 				}
 			}
 		}
 	}
-	if a != nil {
-		for r := 0; r < a.M; r++ {
-			lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-			for i := lo; i < hi; i++ {
-				for j := i + 1; j < hi; j++ {
-					t.Add(a.Col[i], a.Col[j], 1)
-					t.Add(a.Col[j], a.Col[i], 1)
-				}
+	ptr := make([]int, n+1)
+	each(func(i, _ int) { ptr[i+1]++ })
+	for v := 0; v < n; v++ {
+		ptr[v+1] += ptr[v]
+	}
+	col := make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	each(func(i, j int) {
+		col[next[i]] = j
+		next[i]++
+	})
+	// Sort and deduplicate each row, compacting toward the front: the
+	// write cursor never passes the read cursor.
+	out := 0
+	for v := 0; v < n; v++ {
+		row := col[ptr[v]:ptr[v+1]]
+		slices.Sort(row)
+		ptr[v] = out
+		for k, c := range row {
+			if k == 0 || c != row[k-1] {
+				col[out] = c
+				out++
 			}
 		}
 	}
-	return t.Compile()
+	ptr[n] = out
+	return &CSR{M: n, N: n, RowPtr: ptr, Col: col[:out]}
 }
 
 // rcmOrder returns a reverse Cuthill–McKee ordering of the graph: BFS
@@ -329,11 +365,11 @@ func rcmOrder(adj *CSR) []int {
 					nbuf = append(nbuf, w)
 				}
 			}
-			sort.Slice(nbuf, func(a, b int) bool {
-				if deg[nbuf[a]] != deg[nbuf[b]] {
-					return deg[nbuf[a]] < deg[nbuf[b]]
+			slices.SortFunc(nbuf, func(a, b int) int {
+				if deg[a] != deg[b] {
+					return cmp.Compare(deg[a], deg[b])
 				}
-				return nbuf[a] < nbuf[b]
+				return cmp.Compare(a, b)
 			})
 			queue = append(queue, nbuf...)
 		}
@@ -420,7 +456,7 @@ func ndOrder(adj *CSR) []int {
 						nbuf = append(nbuf, w)
 					}
 				}
-				sort.Ints(nbuf)
+				slices.Sort(nbuf)
 				queue = append(queue, nbuf...)
 			}
 		}
@@ -495,7 +531,7 @@ func ndOrder(adj *CSR) []int {
 		}
 		rec(left, leftID)
 		rec(right, rightID)
-		sort.Ints(sep)
+		slices.Sort(sep)
 		order = append(order, sep...)
 	}
 
@@ -558,15 +594,21 @@ func ataEntries(a *CSR, fromRow int, iperm []int) []upperEntry {
 	return ents
 }
 
+// cmpUpper orders upper entries by (col, row) — the CSC order.
+func cmpUpper(a, b upperEntry) int {
+	if a.col != b.col {
+		return cmp.Compare(a.col, b.col)
+	}
+	return cmp.Compare(a.row, b.row)
+}
+
 // compilePattern sorts and deduplicates entries into the CSC-upper
-// pattern with the two aligned value streams.
+// pattern with the two aligned value streams.  Duplicates are summed in
+// the order the sort leaves them; slices.SortFunc runs the same pdqsort
+// as sort.Slice, so that order — hence every summed bit — is fixed by
+// the input sequence alone.
 func (f *ldltFactor) compilePattern(ents []upperEntry) {
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].col != ents[b].col {
-			return ents[a].col < ents[b].col
-		}
-		return ents[a].row < ents[b].row
-	})
+	slices.SortFunc(ents, cmpUpper)
 	f.kp = make([]int, f.n+1)
 	f.ki = f.ki[:0]
 	f.baseVal = f.baseVal[:0]
@@ -593,20 +635,14 @@ func (f *ldltFactor) compilePattern(ents []upperEntry) {
 // mergeAppended folds extra AᵀA entries (already permuted, upper, from
 // appended constraint rows) into the existing pattern in place: the
 // two sorted streams merge column by column, existing slots accumulate
-// and new slots carry a zero base value.  The ordering is NOT
-// recomputed — appended cut rows ride on the original permutation —
-// but the elimination tree and fill counts are refreshed, which is the
-// cheap part of the analysis.
+// and new slots carry a zero base value.  It touches only the pattern
+// and its values; AppendRows decides the ordering and runs the
+// symbolic analysis afterwards.
 func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 	if len(extra) == 0 {
 		return
 	}
-	sort.Slice(extra, func(a, b int) bool {
-		if extra[a].col != extra[b].col {
-			return extra[a].col < extra[b].col
-		}
-		return extra[a].row < extra[b].row
-	})
+	slices.SortFunc(extra, cmpUpper)
 	// Deduplicate the extra stream first.
 	dst := 0
 	for i := 0; i < len(extra); {
@@ -653,65 +689,166 @@ func (f *ldltFactor) mergeAppended(extra []upperEntry) {
 		newKP[c+1] = len(newKI)
 	}
 	f.kp, f.ki, f.baseVal, f.ataVal = newKP, newKI, newBase, newATA
-	f.symbolic()
 }
 
 // AppendRows extends the pattern with the AᵀA cliques of rows
-// [fromRow, a.M) of the (scaled) constraint matrix, recomputes the
-// fill-reducing ordering for the merged pattern, and re-runs the
-// symbolic analysis.  Re-ordering costs one graph traversal per append
-// — appends are rare (once per cut round) while every ADMM iteration
-// pays nnz(L) twice, and cut cliques merged into a stale permutation
-// can double the fill.  The caller must Refactor before the next
-// Solve.
-func (f *ldltFactor) AppendRows(a *CSR, fromRow int) {
+// [fromRow, a.M) of the (scaled) constraint matrix and runs the
+// symbolic analysis exactly once.  The merged pattern's fill under the
+// current ordering comes from a count-only elimination-tree walk;
+// reorder compares it with a fresh fill-reducing ordering and keeps
+// the cheaper one, and symbolic then analyzes whichever pattern won.
+// Re-ordering costs one graph traversal per append — appends are rare
+// (once per cut round) while every ADMM iteration pays nnz(L) twice,
+// and cut cliques merged into a stale permutation can double the fill.
+// It reports whether the re-ordering was taken.  The caller must
+// Refactor before the next Solve.
+func (f *ldltFactor) AppendRows(a *CSR, fromRow int) bool {
 	f.mergeAppended(ataEntries(a, fromRow, f.iperm))
-	f.reorder()
+	reordered := f.reorder(f.etree(nil))
+	f.symbolic()
+	return reordered
 }
 
 // reorder recomputes the fill-reducing permutation from the current
-// merged pattern and recompiles it, composing the new relative order
-// onto the existing permutation.  Needs no access to the original P
-// and A: the stored pattern and split values carry everything.
-func (f *ldltFactor) reorder() {
-	n := f.n
-	t := NewTriplet(n, n)
-	for c := 0; c < n; c++ {
-		for p := f.kp[c]; p < f.kp[c+1]; p++ {
-			if r := f.ki[p]; r != c {
-				t.Add(r, c, 1)
-				t.Add(c, r, 1)
-			}
-		}
+// merged pattern and, when its predicted fill beats fill (the count
+// under the current ordering), re-permutes the pattern, composing the
+// new relative order onto the existing permutation.  It reports
+// whether it did.  Needs no access to the original P and A: the stored
+// pattern and split values carry everything.
+//
+// Nothing here sorts by comparison.  The adjacency comes straight from
+// the sorted upper CSC, and the permuted pattern is rebuilt by a
+// two-pass counting sort (by row, then stably by column).  The stored
+// entries are distinct, so they stay distinct under the permutation
+// and no two share a (col, row) key: the counting sort yields exactly
+// the order any comparison sort would, with nothing to sum.
+func (f *ldltFactor) reorder(fill int) bool {
+	rel, relFill := bestOrder(f.upperAdjacency())
+	if relFill >= fill {
+		return false // the merged-in-place ordering is already at least as good
 	}
-	rel, relFill := bestOrder(t.Compile())
-	if relFill >= f.lp[n] {
-		return // the merged-in-place ordering is already at least as good
-	}
-	irel := make([]int, n)
+	irel := make([]int, f.n)
 	for k, v := range rel {
 		irel[v] = k
 	}
-	ents := make([]upperEntry, 0, len(f.ki))
-	for c := 0; c < n; c++ {
-		for p := f.kp[c]; p < f.kp[c+1]; p++ {
-			pi, pj := irel[f.ki[p]], irel[c]
-			if pi > pj {
-				pi, pj = pj, pi
-			}
-			ents = append(ents, upperEntry{row: pi, col: pj, base: f.baseVal[p], ata: f.ataVal[p]})
-		}
-	}
-	newPerm := make([]int, n)
-	for k := 0; k < n; k++ {
+	f.permutePattern(irel)
+	newPerm := make([]int, f.n)
+	for k := 0; k < f.n; k++ {
 		newPerm[k] = f.perm[rel[k]]
 	}
 	f.perm = newPerm
 	for k, v := range f.perm {
 		f.iperm[v] = k
 	}
-	f.compilePattern(ents)
-	f.symbolic()
+	return true
+}
+
+// upperAdjacency builds the symmetric off-diagonal adjacency of the
+// stored upper pattern in two counting passes.  Column c contributes
+// its rows r < c to row c (ascending, during column c's turn) and c to
+// each such row r (after r's own turn, in ascending c), so every row
+// comes out sorted with no sort.  Only the structure is built.
+func (f *ldltFactor) upperAdjacency() *CSR {
+	n := f.n
+	ptr := make([]int, n+1)
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			if r := f.ki[p]; r != c {
+				ptr[r+1]++
+				ptr[c+1]++
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		ptr[v+1] += ptr[v]
+	}
+	col := make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			if r := f.ki[p]; r != c {
+				col[next[c]] = r
+				next[c]++
+				col[next[r]] = c
+				next[r]++
+			}
+		}
+	}
+	return &CSR{M: n, N: n, RowPtr: ptr, Col: col}
+}
+
+// permutePattern rebuilds the upper CSC pattern and both value streams
+// under the relative order irel (old position → new position) with a
+// two-pass counting sort: entries are bucketed by new row, then stably
+// by new column, which leaves them in (col, row) order.
+func (f *ldltFactor) permutePattern(irel []int) {
+	n, nk := f.n, len(f.ki)
+	rows := make([]int, nk)
+	cols := make([]int, nk)
+	for c := 0; c < n; c++ {
+		for p := f.kp[c]; p < f.kp[c+1]; p++ {
+			pi, pj := irel[f.ki[p]], irel[c]
+			if pi > pj {
+				pi, pj = pj, pi
+			}
+			rows[p], cols[p] = pi, pj
+		}
+	}
+	next := make([]int, n+1)
+	for _, r := range rows {
+		next[r+1]++
+	}
+	for v := 0; v < n; v++ {
+		next[v+1] += next[v]
+	}
+	byRow := make([]int, nk)
+	for p, r := range rows {
+		byRow[next[r]] = p
+		next[r]++
+	}
+	kp := make([]int, n+1)
+	for _, c := range cols {
+		kp[c+1]++
+	}
+	for v := 0; v < n; v++ {
+		kp[v+1] += kp[v]
+	}
+	copy(next, kp)
+	ki := make([]int, nk)
+	base := make([]float64, nk)
+	ata := make([]float64, nk)
+	for _, p := range byRow {
+		q := next[cols[p]]
+		next[cols[p]]++
+		ki[q], base[q], ata[q] = rows[p], f.baseVal[p], f.ataVal[p]
+	}
+	f.kp, f.ki, f.baseVal, f.ataVal = kp, ki, base, ata
+}
+
+// etree computes the elimination tree of the stored pattern into
+// f.parent by the flag-path walk and returns nnz(L).  With a non-nil
+// lnz it also accumulates the per-column counts of L (which must start
+// at zero); with nil it is the count-only walk AppendRows uses to price
+// the current ordering.
+func (f *ldltFactor) etree(lnz []int) int {
+	nnz := 0
+	for k := 0; k < f.n; k++ {
+		f.parent[k] = -1
+		f.flag[k] = k
+		for p := f.kp[k]; p < f.kp[k+1]; p++ {
+			for i := f.ki[p]; f.flag[i] != k; i = f.parent[i] {
+				if f.parent[i] == -1 {
+					f.parent[i] = k
+				}
+				if lnz != nil {
+					lnz[i]++
+				}
+				nnz++
+				f.flag[i] = k
+			}
+		}
+	}
+	return nnz
 }
 
 // symbolic computes the elimination tree and column counts of L for
@@ -730,20 +867,9 @@ func (f *ldltFactor) symbolic() {
 		f.flag = make([]int, n)
 		f.w = make([]float64, n)
 	}
-	for k := 0; k < n; k++ {
-		f.parent[k] = -1
-		f.flag[k] = k
-		f.lnz[k] = 0
-		for p := f.kp[k]; p < f.kp[k+1]; p++ {
-			for i := f.ki[p]; f.flag[i] != k; i = f.parent[i] {
-				if f.parent[i] == -1 {
-					f.parent[i] = k
-				}
-				f.lnz[i]++
-				f.flag[i] = k
-			}
-		}
-	}
+	f.nSymbolic++
+	clear(f.lnz)
+	f.etree(f.lnz)
 	f.lp[0] = 0
 	for k := 0; k < n; k++ {
 		f.lp[k+1] = f.lp[k] + f.lnz[k]

@@ -315,7 +315,11 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
 }
 
 func (b *ldltBackend) appendRows(fromRow int) {
-	b.f.AppendRows(b.s.a, fromRow)
+	sym := b.f.nSymbolic
+	if b.f.AppendRows(b.s.a, fromRow) {
+		b.s.nReorder++
+	}
+	b.s.nSymbolic += b.f.nSymbolic - sym
 	b.factored = false
 	b.epoch++
 	// New pattern: snapshots, buffer pools and the alias all describe
@@ -334,16 +338,13 @@ func (b *ldltBackend) kind() LinSys { return LinSysLDLT }
 // (it is cheap — pattern merge plus an elimination-tree pass) and keeps
 // the factor only when the fill estimate clears the threshold.
 func (s *Solver) initLinsys() {
-	switch s.set.LinSys {
-	case LinSysCG:
+	if s.set.LinSys == LinSysCG {
 		s.lin = newCGBackend(s)
-		return
-	case LinSysLDLT:
-		s.lin = newLDLTBackend(s, newLDLTFactor(s.p, s.set.Sigma, s.a, s.n))
 		return
 	}
 	f := newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
-	if f.NNZL() <= autoFillLimit*f.NNZK() {
+	s.nSymbolic += f.nSymbolic
+	if s.set.LinSys == LinSysLDLT || f.NNZL() <= autoFillLimit*f.NNZK() {
 		s.lin = newLDLTBackend(s, f)
 		return
 	}

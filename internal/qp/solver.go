@@ -231,6 +231,13 @@ type Solver struct {
 	nSolveBatch  int64
 	nSolveRHS    int64
 
+	// Set-up counters: LDLᵀ symbolic passes (factor builds and row
+	// appends) and re-orderings taken on append.  Both happen between
+	// solves, so each solve reports the growth since the previous one
+	// (the marks) rather than since its own entry.
+	nSymbolic, nReorder     int64
+	symbolicMark, reordMark int64
+
 	// solves counts completed SolveCtx calls; warmed records an explicit
 	// WarmStart.  Together they classify a solve as warm-started (reusing
 	// iterate state) for telemetry.
@@ -649,6 +656,8 @@ func (s *Solver) snapCounters() ctrSnap {
 // emitTelemetry publishes the per-solve observation block: pure
 // observation after the solve, so it cannot perturb the trajectory.
 func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, warm bool) {
+	symbolic, reorders := s.nSymbolic-s.symbolicMark, s.nReorder-s.reordMark
+	s.symbolicMark, s.reordMark = s.nSymbolic, s.nReorder
 	rec := obs.From(ctx)
 	if rec == nil {
 		return
@@ -668,6 +677,8 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	rec.Add("qp/dense_flops", s.nDenseFlops-c0.denseFlops)
 	rec.Add("qp/solve_batches", s.nSolveBatch-c0.solveBatch)
 	rec.Add("qp/solve_rhs", s.nSolveRHS-c0.solveRHS)
+	rec.Add("qp/symbolic_passes", symbolic)
+	rec.Add("qp/reorders", reorders)
 	if warm {
 		rec.Add("qp/warm_start_hits", 1)
 	}

@@ -17,9 +17,10 @@
 package qp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -96,11 +97,14 @@ func (t *Triplet) Compile() *CSR {
 	for i := range t.vals {
 		ents[i] = ent{t.rows[i], t.cols[i], t.vals[i]}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].r != ents[b].r {
-			return ents[a].r < ents[b].r
+	// Duplicates are summed in the order the sort leaves them.
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so that order
+	// depends on the entry sequence alone.
+	slices.SortFunc(ents, func(a, b ent) int {
+		if a.r != b.r {
+			return cmp.Compare(a.r, b.r)
 		}
-		return ents[a].c < ents[b].c
+		return cmp.Compare(a.c, b.c)
 	})
 	c := &CSR{M: t.m, N: t.n, RowPtr: make([]int, t.m+1)}
 	for i := 0; i < len(ents); {
