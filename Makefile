@@ -36,17 +36,17 @@ bench:
 	$(GO) test -bench=TableIV -benchtime=1x -run=^$$ .
 
 # Schema-versioned benchmark report (git rev, scale, workers, per-stage
-# span timings, solver iteration and gate-eval counters, linear-system
-# backend).  Built as a binary (not `go run`) so the toolchain stamps
-# vcs.revision into the report's git_rev field.  Also runs the CG vs
-# LDLᵀ micro-benchmark on the cut-pool matrix, the parallel numeric
-# factorization sweep, the multi-RHS supernodal solve sweep, the
-# cut-round append set-up (with allocations), the τ-Newton bisection
-# benchmark, and the K = 10 000 top-path extraction.  The tables run covers Table IV plus the
+# span timings, solver iteration and gate-eval counters).  Built as a
+# binary (not `go run`) so the toolchain stamps vcs.revision into the
+# report's git_rev field.  Also runs the LDLᵀ ADMM solve of the
+# cut-pool matrix, the parallel numeric factorization sweep, the
+# multi-RHS supernodal solve sweep, the cut-round append set-up (with
+# allocations), the τ-Newton bisection benchmark, and the K = 10 000
+# top-path extraction.  The tables run covers Table IV plus the
 # actuator ablation (Table X), so the report times the joint dose+bias
 # solves alongside the dose-only pipeline.
 bench-json:
-	$(GO) test ./internal/core/ -run '^$$' -bench 'LinSys|TauNewton|WaferSolve' -benchtime 3x
+	$(GO) test ./internal/core/ -run '^$$' -bench 'CutPoolSolve|TauNewton|WaferSolve' -benchtime 3x
 	$(GO) test ./internal/qp/ -run '^$$' -bench 'LDLTParallelFactor|SupernodalSolve|CutAppend' -benchtime 20x
 	$(GO) test ./internal/sta/ -run '^$$' -bench 'TopPaths' -benchtime 10x
 	$(GO) build -o tables.bin ./cmd/tables

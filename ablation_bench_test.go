@@ -1,6 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - cutting-plane engine versus the verbatim node-based assembly;
+//   - the cutting-plane engine on its own;
 //   - dose-map grid granularity (the Section V sweep);
 //   - smoothness bound δ (tighter bounds shrink the reachable dose range
 //     per grid, Section V's closing discussion);
@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -43,38 +44,19 @@ func ablationFixture(b *testing.B) (*sta.Result, *core.Model) {
 	return ablGolden, ablModel
 }
 
-// BenchmarkAblationEngineCuts and ...EngineNode compare the default
-// cutting-plane engine against the node-based Eq. 5 assembly on the
-// same QP instance.
+// BenchmarkAblationEngineCuts times the cutting-plane engine on the
+// ablation QP instance.
 func BenchmarkAblationEngineCuts(b *testing.B) {
 	golden, model := ablationFixture(b)
 	opt := core.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+		r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
 			fmt.Printf("ablation engine=cuts: Δleak %.1f nW (%s)\n", r.PredDeltaLeakNW, r.Status)
-		}
-	}
-}
-
-func BenchmarkAblationEngineNode(b *testing.B) {
-	golden, model := ablationFixture(b)
-	opt := core.DefaultOptions()
-	opt.Method = core.MethodNode
-	opt.QP.MaxIter = 20000
-	opt.QP.EpsAbs, opt.QP.EpsRel = 1e-4, 1e-4
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := core.DMoptQP(golden, model, opt, golden.MCT)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("ablation engine=node: Δleak %.1f nW (%s)\n", r.PredDeltaLeakNW, r.Status)
 		}
 	}
 }
@@ -87,7 +69,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.G = g
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -108,7 +90,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Delta = delta
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +109,7 @@ func BenchmarkAblationSmoothness(b *testing.B) {
 func BenchmarkAblationSnapPolicy(b *testing.B) {
 	golden, model := ablationFixture(b)
 	opt := core.DefaultOptions()
-	res, err := core.DMoptQP(golden, model, opt, golden.MCT)
+	res, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +163,7 @@ func BenchmarkExtTiledField(b *testing.B) {
 			opt := core.DefaultOptions()
 			opt.Tiled = tiled
 			for i := 0; i < b.N; i++ {
-				r, err := core.DMoptQP(golden, model, opt, golden.MCT)
+				r, err := core.SolveQP(context.Background(), core.QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -52,7 +52,6 @@ func main() {
 		BothLayers: *both,
 		DosePl:     *dosepl,
 		Workers:    com.Workers,
-		LinSys:     com.LinSys.String(),
 	}
 	act.Apply(&spec)
 

@@ -37,7 +37,7 @@ func main() {
 	defer com.Close()
 
 	start := time.Now()
-	c := expt.New(expt.WithScale(*scale), expt.WithWorkers(com.Workers), expt.WithLinSys(com.LinSys))
+	c := expt.New(expt.WithScale(*scale), expt.WithWorkers(com.Workers))
 	if *wafer {
 		r, err := c.WaferRunCtx(com.Context(), *design, *grid, expt.WaferGeometry())
 		com.Check(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,10 @@ func main() {
 	opt := repro.DefaultOptions()
 	opt.G = 5 // the paper's finest grid; G is an equipment property, not a design one
 
-	out, err := repro.RunFlow(d, repro.FlowConfig{Opt: opt, Mode: repro.ModeQPLeakage})
+	out, err := repro.SolveFlow(context.Background(), repro.FlowRequest{
+		Design: d,
+		Config: repro.FlowConfig{Opt: opt, Mode: repro.ModeQPLeakage},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

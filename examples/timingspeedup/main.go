@@ -4,7 +4,7 @@
 // the dosePl cell-swapping rounds, and prints the worst-slack profile of
 // each stage against the "Bias" headroom reference.
 //
-// It uses the context-aware facade (GenerateCtx, AnalyzeCtx, RunQCPCtx,
+// It uses the context-aware facade (GenerateCtx, AnalyzeCtx, SolveQCP,
 // RunDosePlCtx): the whole flow runs under a deadline and aborts with a
 // wrapped context error if it overruns.  Results are bit-identical to
 // the plain serial API at any worker count.
@@ -43,7 +43,7 @@ func main() {
 	opt := repro.DefaultOptions()
 	opt.G = 5
 	opt.Workers = workers
-	res, err := repro.RunQCPCtx(ctx, golden, model, opt)
+	res, err := repro.SolveQCP(ctx, repro.QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		log.Fatal(err)
 	}

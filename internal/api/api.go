@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dosemap"
 	"repro/internal/gen"
-	"repro/internal/qp"
 )
 
 // Schema identifies the request/response document layout.  Bump the
@@ -129,7 +128,9 @@ type JobSpec struct {
 	// Workers bounds the job's parallel fan-out; 0 = GOMAXPROCS.
 	// Results are bit-identical for every worker count.
 	Workers int `json:"workers,omitempty"`
-	// LinSys selects the ADMM x-step backend: "auto", "cg" or "ldlt".
+	// LinSys is a legacy alias kept for wire compatibility: "auto",
+	// "cg" and "ldlt" are accepted and all run the one LDLᵀ x-step
+	// backend; the normalized form is "auto".
 	LinSys string `json:"linsys,omitempty"`
 }
 
@@ -155,7 +156,7 @@ func (s JobSpec) Normalized() JobSpec {
 		s.DoseLo, s.DoseHi = def.DoseLo, def.DoseHi
 	}
 	if s.LinSys == "" {
-		s.LinSys = qp.LinSys(0).String()
+		s.LinSys = "auto"
 	}
 	if s.Workers < 0 {
 		s.Workers = 0
@@ -285,10 +286,10 @@ func (s JobSpec) Validate() error {
 	if s.DoseLo > s.DoseHi {
 		return fmt.Errorf("api: dose range [%g, %g] is empty", s.DoseLo, s.DoseHi)
 	}
-	if s.LinSys != "" {
-		if _, err := qp.ParseLinSys(s.LinSys); err != nil {
-			return fmt.Errorf("api: %w", err)
-		}
+	switch s.LinSys {
+	case "", "auto", "cg", "ldlt":
+	default:
+		return fmt.Errorf("api: unknown linear-system backend %q (want auto, cg or ldlt)", s.LinSys)
 	}
 	return nil
 }
@@ -338,10 +339,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	if err := s.Validate(); err != nil {
 		return core.Options{}, err
 	}
-	linsys, err := qp.ParseLinSys(s.LinSys)
-	if err != nil {
-		return core.Options{}, err
-	}
 	opt := core.DefaultOptions()
 	opt.G = s.GridUm
 	opt.Delta = s.Delta
@@ -351,7 +348,6 @@ func (s JobSpec) Options() (core.Options, error) {
 	opt.Snap = !s.NoSnap
 	opt.Tiled = s.Tiled
 	opt.Workers = s.Workers
-	opt.QP.LinSys = linsys
 	if s.biasOn() {
 		opt.DoseOff = strings.ToLower(s.Actuators) == ActuatorsBias
 		opt.BiasGridUm = s.BiasGridUm
@@ -495,7 +491,6 @@ type JobResult struct {
 	PredMCTPs       float64 `json:"pred_mct_ps"`
 	PredDeltaLeakNW float64 `json:"pred_delta_leak_nw"`
 	Probes          int     `json:"probes"`
-	ArrivalVars     int     `json:"arrival_vars,omitempty"`
 	Rows            int     `json:"rows,omitempty"`
 	Cols            int     `json:"cols,omitempty"`
 	SolverStatus    string  `json:"solver_status"`
@@ -588,7 +583,6 @@ func ResultOf(spec JobSpec, out *core.FlowOutcome) *JobResult {
 		PredMCTPs:       dm.PredMCT,
 		PredDeltaLeakNW: dm.PredDeltaLeakNW,
 		Probes:          dm.Probes,
-		ArrivalVars:     dm.ArrivalVars,
 		Rows:            dm.Rows,
 		Cols:            dm.Cols,
 		SolverStatus:    dm.Status,

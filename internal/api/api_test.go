@@ -58,6 +58,53 @@ func TestNormalizedIdempotent(t *testing.T) {
 	}
 }
 
+// TestCanonicalLinSysAlias pins the canonical bytes of the legacy
+// linsys field: the spec identity (and every dedup and cache key
+// derived from it) must not move now that every value runs LDLᵀ.
+func TestCanonicalLinSysAlias(t *testing.T) {
+	const prefix = `{"schema":"dmopt-job/v1","design":"AES-65","scale":1,"mode":"qp","grid_um":5,"delta":2,"dose_lo":-5,"dose_hi":5,`
+	cases := []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Design: "AES-65"}, prefix + `"linsys":"auto"}`},
+		{JobSpec{Design: "AES-65", LinSys: "cg"}, prefix + `"linsys":"cg"}`},
+	}
+	for _, tc := range cases {
+		if got := tc.spec.MarshalCanonical(); got != tc.want {
+			t.Errorf("MarshalCanonical(%+v)\n got  %s\n want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestLinSysAliasBitIdentical: every accepted linsys value runs the same
+// solve, bit for bit.
+func TestLinSysAliasBitIdentical(t *testing.T) {
+	var ref *core.FlowOutcome
+	for _, ls := range []string{"auto", "cg", "ldlt"} {
+		_, out, err := Run(context.Background(), JobSpec{Design: "AES-65", Scale: 0.05, LinSys: ls})
+		if err != nil {
+			t.Fatalf("linsys %s: %v", ls, err)
+		}
+		if ref == nil {
+			ref = out
+			continue
+		}
+		got := append([]float64{out.Final.MCTps, out.Final.LeakUW, out.DM.PredMCT, out.DM.PredDeltaLeakNW},
+			out.DM.Layers.Poly.D...)
+		want := append([]float64{ref.Final.MCTps, ref.Final.LeakUW, ref.DM.PredMCT, ref.DM.PredDeltaLeakNW},
+			ref.DM.Layers.Poly.D...)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("linsys %s: value %d is %v, auto gave %v", ls, i, got[i], want[i])
+			}
+		}
+		if out.DM.Status != ref.DM.Status {
+			t.Fatalf("linsys %s: status %q, auto gave %q", ls, out.DM.Status, ref.DM.Status)
+		}
+	}
+}
+
 func TestDesignKey(t *testing.T) {
 	a := JobSpec{Design: "AES-65", Scale: 0.15}.DesignKey()
 	b := JobSpec{Design: "AES-65", Scale: 0.2}.DesignKey()

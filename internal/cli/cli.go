@@ -1,9 +1,8 @@
 // Package cli is the shared flag surface and run scaffolding of the
 // repro commands.  Every binary speaks the same dialect — -workers,
-// -linsys, -stats, -bench-json, -cpuprofile, -memprofile — and the
-// boilerplate around it (linsys validation, profile lifecycles,
-// recorder wiring, the dmopt-bench/v1 report) lives here once instead
-// of being copy-pasted per main.
+// -stats, -bench-json, -cpuprofile, -memprofile — and the boilerplate
+// around it (profile lifecycles, recorder wiring, the dmopt-bench/v1
+// report) lives here once instead of being copy-pasted per main.
 //
 // Usage shape:
 //
@@ -28,7 +27,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/qp"
 )
 
 // Common holds the shared flag values after flag.Parse.
@@ -41,10 +39,7 @@ type Common struct {
 	Stats bool
 	// BenchJSON is the machine-readable report path ("" disables).
 	BenchJSON string
-	// LinSys is the validated ADMM backend selection (set by Init).
-	LinSys qp.LinSys
 
-	linsysName string
 	cpuprofile string
 	memprofile string
 
@@ -62,7 +57,6 @@ func AddFlags(prog string) *Common {
 func AddFlagsTo(fs *flag.FlagSet, prog string) *Common {
 	c := &Common{Prog: prog, profStop: func() {}}
 	fs.IntVar(&c.Workers, "workers", 0, "parallel fan-out of STA/fit/solver; 0 = GOMAXPROCS (bit-identical results)")
-	fs.StringVar(&c.linsysName, "linsys", "auto", "ADMM linear-system backend: auto, cg or ldlt")
 	fs.BoolVar(&c.Stats, "stats", false, "print run telemetry (spans, counters) to stderr")
 	fs.StringVar(&c.BenchJSON, "bench-json", "", "write a machine-readable benchmark report to this file")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -105,12 +99,9 @@ func (a *ActuatorFlags) Apply(spec *api.JobSpec) {
 	spec.BiasLoV, spec.BiasHiV = a.BiasLoV, a.BiasHiV
 }
 
-// Init validates the shared flags (call after flag.Parse) and starts
-// the CPU profile; pair it with a deferred Close.
+// Init starts the CPU profile (call after flag.Parse); pair it with a
+// deferred Close.
 func (c *Common) Init() {
-	linsys, err := qp.ParseLinSys(c.linsysName)
-	c.Check(err)
-	c.LinSys = linsys
 	if c.cpuprofile != "" {
 		f, err := os.Create(c.cpuprofile)
 		c.Check(err)
@@ -176,7 +167,6 @@ func (c *Common) Finish(label string, scale float64, topK int, workers int, wall
 	}
 	if c.BenchJSON != "" {
 		rep := c.rec.Report(label, scale, topK, par.Workers(workers), wall)
-		rep.LinSys = c.LinSys.String()
 		c.Check(rep.WriteJSON(c.BenchJSON))
 		fmt.Fprintf(os.Stderr, "%s: wrote benchmark report to %s\n", c.Prog, c.BenchJSON)
 	}

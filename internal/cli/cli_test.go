@@ -9,22 +9,18 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/qp"
 )
 
 func TestSharedFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	c := AddFlagsTo(fs, "t")
-	if err := fs.Parse([]string{"-workers", "3", "-linsys", "ldlt", "-stats"}); err != nil {
+	if err := fs.Parse([]string{"-workers", "3", "-stats"}); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	c.Init()
 	defer c.Close()
 	if c.Workers != 3 || !c.Stats {
 		t.Fatalf("flag values: %+v", c)
-	}
-	if c.LinSys != qp.LinSysLDLT {
-		t.Fatalf("linsys = %v, want ldlt", c.LinSys)
 	}
 	ctx := c.Context()
 	if obs.From(ctx) == nil {
@@ -77,8 +73,5 @@ func TestFinishWritesBenchReport(t *testing.T) {
 	}
 	if rep.Counters["test/counter"] != 7 {
 		t.Fatalf("report counters: %v", rep.Counters)
-	}
-	if rep.LinSys != "auto" {
-		t.Fatalf("report linsys %q", rep.LinSys)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestBiasSnapQuantizationProperty(t *testing.T) {
 			opt := DefaultOptions()
 			opt.XiNW = xi
 			opt.BiasGridUm = 20
-			dm, err := DMoptQCP(golden, model, opt)
+			dm, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 			if err != nil {
 				t.Fatalf("%s ξ=%g: %v", tc.preset.Name, xi, err)
 			}

@@ -2,9 +2,9 @@
 //
 // Tables IV-VI and the dose sweeps solve many QP/QCP variants over one
 // (design, grid, layers) formulation: the grid geometry, the gate→grid
-// map, the worst-case pruning arrivals, the objective coefficients and
-// the box/smoothness constraint pattern are all invariant across those
-// runs.  Compile builds that invariant state once into an immutable
+// map, the objective coefficients, the QCP's lower clock-period bound
+// and the box/smoothness constraint pattern are all invariant across
+// those runs.  Compile builds that invariant state once into an immutable
 // *Compiled artifact; the run views in qp_run.go / qcp_run.go / cuts.go
 // borrow it together with per-run mutable state (τ bounds, cut pool,
 // warm-started solver).
@@ -117,21 +117,16 @@ type Compiled struct {
 	sensCol []int
 	sensVal []float64
 
-	// Dose-variable objective: ½·dosePD_j·x_j² + doseQ_j·x_j is the
-	// Eq. 2 Δleakage model.  cutPD adds the active-layer regularization
-	// the cutting-plane engine needs (the node assembly does not).
-	dosePD, doseQ []float64
-	cutPD         []float64
+	// Actuator-variable objective: ½·cutPD_j·x_j² + doseQ_j·x_j is the
+	// Eq. 2 Δleakage model plus, with BothLayers, a tiny curvature on
+	// the otherwise linear active-layer variables (see CompileCtx).
+	cutPD, doseQ []float64
 
 	// Fixed constraint prefix of the cut engine: box + smoothness
 	// (+ seam) rows over the dose variables.  Cut rows are appended
 	// after this prefix, so dual indices survive pool growth.
 	fixedA         *qp.CSR
 	fixedL, fixedU []float64
-
-	// Worst-case (slowest reachable dose) linear arrivals and suffixes,
-	// used by the node assembly to prune arrival variables.
-	worstArr, worstSuf []float64
 
 	// fastMCT is the linear-model MCT at the fastest reachable dose —
 	// the QCP bisection's lower bound.
@@ -149,8 +144,7 @@ type Compiled struct {
 // eviction only needs relative magnitudes, not exact accounting.
 func (c *Compiled) ApproxBytes() int64 {
 	n := len(c.gridOf) + len(c.order)
-	f := len(c.dosePD) + len(c.doseQ) + len(c.cutPD) +
-		len(c.fixedL) + len(c.fixedU) + len(c.worstArr) + len(c.worstSuf)
+	f := len(c.doseQ) + len(c.cutPD) + len(c.fixedL) + len(c.fixedU)
 	csr := 0
 	if c.fixedA != nil {
 		csr = 8*(len(c.fixedA.RowPtr)+len(c.fixedA.Col)) + 8*len(c.fixedA.Val)
@@ -240,7 +234,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 
 	// Objective diagonal and linear term over the actuator variables.
 	ds := tech.DoseSensitivity
-	c.dosePD = make([]float64, c.NVar)
+	c.cutPD = make([]float64, c.NVar)
 	c.doseQ = make([]float64, c.NVar)
 	if !co.DoseOff {
 		for id := range in.Circ.Gates {
@@ -248,7 +242,7 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 			if g < 0 {
 				continue
 			}
-			c.dosePD[g] += 2 * model.Alpha[id] * ds * ds
+			c.cutPD[g] += 2 * model.Alpha[id] * ds * ds
 			c.doseQ[g] += model.Beta[id] * ds
 			if co.BothLayers {
 				c.doseQ[c.NG+g] += model.Gamma[id] * ds
@@ -263,11 +257,10 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 			if dom < 0 {
 				continue
 			}
-			c.dosePD[c.biasOff+dom] += 2 * model.AlphaB[id]
+			c.cutPD[c.biasOff+dom] += 2 * model.AlphaB[id]
 			c.doseQ[c.biasOff+dom] += model.BetaB[id]
 		}
 	}
-	c.cutPD = append([]float64(nil), c.dosePD...)
 	if co.BothLayers {
 		// The active-layer objective is exactly linear (leakage is linear
 		// in gate width), which leaves those variables without curvature
@@ -319,14 +312,9 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 	// Fixed constraint prefix of the cut engine.
 	c.fixedA, c.fixedL, c.fixedU = compileFixedRows(grid, c.NG, c.NVar, co, c.Blocks)
 
-	// Pruning state (node assembly) and the QCP lower bound.
-	// The arc table lives only for this compile: the artifact keeps no
-	// copy, so its footprint (and the cache's accounting) is unchanged.
-	arcs := newArcTable(golden)
-	worstDelta := func(id int) float64 { return maxDelayDeltaFor(model, co, id) }
-	c.worstArr, _ = linearArrivalsOrder(golden, order, arcs, worstDelta)
-	c.worstSuf = linearSuffixOrder(golden, order, arcs, worstDelta)
-	_, c.fastMCT = linearArrivalsOrder(golden, order, arcs, func(id int) float64 {
+	// The QCP lower bound.  The arc table lives only for this compile:
+	// the artifact keeps no copy.
+	_, c.fastMCT = linearArrivalsOrder(golden, order, newArcTable(golden), func(id int) float64 {
 		if in.Masters[id] == nil {
 			return 0
 		}
@@ -439,26 +427,8 @@ func gateGrid(in sta.Input, grid dosemap.Grid) []int {
 	return g
 }
 
-// maxDelayDeltaFor returns the gate's largest possible delay increase
-// over the active actuator boxes (used for conservative pruning);
-// minDelayDeltaFor the largest possible decrease (most negative delta).
-func maxDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
-	ds := tech.DoseSensitivity
-	v := 0.0
-	if !co.DoseOff {
-		// A·Ds·d maximal at d = DoseLo (Ds<0, A≥0); B·Ds·d maximal at DoseHi.
-		v = model.A[id] * ds * co.DoseLo
-		if co.BothLayers {
-			v += model.B[id] * ds * co.DoseHi
-		}
-	}
-	if co.BiasGridUm > 0 && model.DB != nil {
-		// DB ≤ 0: delay grows most at the deepest reverse bias.
-		v += model.DB[id] * co.BiasLo
-	}
-	return math.Max(v, 0)
-}
-
+// minDelayDeltaFor returns the gate's largest possible delay decrease
+// (most negative delta) over the active actuator boxes.
 func minDelayDeltaFor(model *Model, co CompileOptions, id int) float64 {
 	ds := tech.DoseSensitivity
 	v := 0.0
@@ -516,17 +486,11 @@ func (t *arcTable) arc(from, to int) float64 {
 	return t.golden.ArcDelay(from, to)
 }
 
-// linearArrivals runs a forward pass over the frozen golden arc delays
-// with the given per-gate delay deltas, returning per-gate output
-// arrivals and the resulting MCT.  This is the optimizer's linear timing
-// model (Eq. 5/10) evaluated at a concrete dose assignment.
-func linearArrivals(golden *sta.Result, delta func(id int) float64) ([]float64, float64) {
-	order, _ := golden.In.Circ.TopoOrder()
-	return linearArrivalsOrder(golden, order, newArcTable(golden), delta)
-}
-
-// linearArrivalsOrder is linearArrivals borrowing a precomputed
-// topological order (the compile artifact's) and arc table.
+// linearArrivalsOrder runs a forward pass over the frozen golden arc
+// delays, in the given topological order, with the given per-gate delay
+// deltas, returning per-gate output arrivals and the resulting MCT.
+// This is the optimizer's linear timing model (Eq. 5/10) evaluated at a
+// concrete actuator assignment.
 func linearArrivalsOrder(golden *sta.Result, order []int, arcs *arcTable, delta func(id int) float64) ([]float64, float64) {
 	in := golden.In
 	n := in.Circ.NumGates()
@@ -568,52 +532,6 @@ func linearArrivalsOrder(golden *sta.Result, order []int, arcs *arcTable, delta 
 		}
 	}
 	return arr, mct
-}
-
-// linearSuffixOrder computes, per gate, the largest downstream delay to
-// any endpoint under the given per-gate deltas (analogous to the
-// path-search suffix but on the linear model), over a precomputed
-// topological order.
-func linearSuffixOrder(golden *sta.Result, order []int, arcs *arcTable, delta func(id int) float64) []float64 {
-	in := golden.In
-	n := in.Circ.NumGates()
-	suf := make([]float64, n)
-	for i := range suf {
-		suf[i] = math.Inf(-1)
-	}
-	relax := func(id int) {
-		g := in.Circ.Gates[id]
-		best := math.Inf(-1)
-		for _, fo := range g.Fanouts {
-			fog := in.Circ.Gates[fo]
-			arc := arcs.arc(id, fo)
-			var v float64
-			switch fog.Kind {
-			case netlist.PO, netlist.Seq:
-				v = arc + golden.EndWeight(fo)
-			default:
-				if math.IsInf(suf[fo], -1) {
-					continue
-				}
-				v = arc + delta(fo) + suf[fo]
-			}
-			if v > best {
-				best = v
-			}
-		}
-		suf[id] = best
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if in.Circ.Gates[order[i]].Kind != netlist.Seq {
-			relax(order[i])
-		}
-	}
-	for id, g := range in.Circ.Gates {
-		if g.Kind == netlist.Seq {
-			relax(id)
-		}
-	}
-	return suf
 }
 
 // predict evaluates the linear timing model and Eq. 2 leakage model at a

@@ -9,11 +9,10 @@ import (
 // compiledSnapshot captures every slice of the artifact bitwise.
 type compiledSnapshot struct {
 	gridOf, order         []int
-	dosePD, doseQ, cutPD  []float64
+	doseQ, cutPD          []float64
 	fixedRowPtr, fixedCol []int
 	fixedVal              []float64
 	fixedL, fixedU        []float64
-	worstArr, worstSuf    []float64
 	fastMCT, snapMargin   float64
 	nomLeak               float64
 }
@@ -23,11 +22,10 @@ func snapshotCompiled(c *Compiled) compiledSnapshot {
 	cpF := func(s []float64) []float64 { return append([]float64(nil), s...) }
 	return compiledSnapshot{
 		gridOf: cpI(c.gridOf), order: cpI(c.order),
-		dosePD: cpF(c.dosePD), doseQ: cpF(c.doseQ), cutPD: cpF(c.cutPD),
+		doseQ: cpF(c.doseQ), cutPD: cpF(c.cutPD),
 		fixedRowPtr: cpI(c.fixedA.RowPtr), fixedCol: cpI(c.fixedA.Col),
 		fixedVal: cpF(c.fixedA.Val),
 		fixedL:   cpF(c.fixedL), fixedU: cpF(c.fixedU),
-		worstArr: cpF(c.worstArr), worstSuf: cpF(c.worstSuf),
 		fastMCT: c.fastMCT, snapMargin: c.snapMarginNW, nomLeak: c.nomLeakUW,
 	}
 }
@@ -60,7 +58,6 @@ func (s compiledSnapshot) requireEqual(t *testing.T, o compiledSnapshot) {
 	t.Helper()
 	eqI(t, "gridOf", s.gridOf, o.gridOf)
 	eqI(t, "order", s.order, o.order)
-	eqF(t, "dosePD", s.dosePD, o.dosePD)
 	eqF(t, "doseQ", s.doseQ, o.doseQ)
 	eqF(t, "cutPD", s.cutPD, o.cutPD)
 	eqI(t, "fixedA.RowPtr", s.fixedRowPtr, o.fixedRowPtr)
@@ -68,16 +65,14 @@ func (s compiledSnapshot) requireEqual(t *testing.T, o compiledSnapshot) {
 	eqF(t, "fixedA.Val", s.fixedVal, o.fixedVal)
 	eqF(t, "fixedL", s.fixedL, o.fixedL)
 	eqF(t, "fixedU", s.fixedU, o.fixedU)
-	eqF(t, "worstArr", s.worstArr, o.worstArr)
-	eqF(t, "worstSuf", s.worstSuf, o.worstSuf)
 	eqF(t, "scalars",
 		[]float64{s.fastMCT, s.snapMargin, s.nomLeak},
 		[]float64{o.fastMCT, o.snapMargin, o.nomLeak})
 }
 
-// TestCompiledImmutableUnderRuns pins the ownership rule: QCP with cuts
-// and the node QP both run off one artifact without mutating a single
-// bit of it.
+// TestCompiledImmutableUnderRuns pins the ownership rule: the QCP, the
+// QP and the node-assembly oracle all run off one artifact without
+// mutating a single bit of it.
 func TestCompiledImmutableUnderRuns(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
 	model, err := FitModel(golden, false)
@@ -93,19 +88,15 @@ func TestCompiledImmutableUnderRuns(t *testing.T) {
 	before := snapshotCompiled(c)
 
 	ctx := context.Background()
-	if _, err := DMoptQCPCompiled(ctx, c, opt); err != nil {
+	if _, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt}); err != nil {
 		t.Fatal(err)
 	}
 	snapshotCompiled(c).requireEqual(t, before)
 
-	if _, err := DMoptQPCompiled(ctx, c, opt, 0.99*golden.MCT); err != nil {
+	if _, err := SolveQP(ctx, QPRequest{Compiled: c, Opt: opt, TauPs: 0.99 * golden.MCT}); err != nil {
 		t.Fatal(err)
 	}
-	nopt := opt
-	nopt.Method = MethodNode
-	if _, err := DMoptQPCompiled(ctx, c, nopt, 0.995*golden.MCT); err != nil {
-		t.Fatal(err)
-	}
+	nodeQPLeak(t, c, opt, 0.995*golden.MCT)
 	snapshotCompiled(c).requireEqual(t, before)
 }
 
@@ -124,16 +115,16 @@ func TestCompiledRunsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	r1, err := DMoptQCPCompiled(ctx, c, opt)
+	r1, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DMoptQCPCompiled(ctx, c, opt)
+	r2, err := SolveQCP(ctx, QCPRequest{Compiled: c, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// And against the compile-on-demand entry point.
-	r3, err := DMoptQCPCtx(ctx, golden, model, opt)
+	r3, err := SolveQCP(ctx, QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +156,12 @@ func TestCompiledOptionsMismatch(t *testing.T) {
 	}
 	bad := opt
 	bad.G = 10
-	if _, err := DMoptQPCompiled(context.Background(), c, bad, 0.99*golden.MCT); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Compiled: c, Opt: bad, TauPs: 0.99 * golden.MCT}); err == nil {
 		t.Fatal("expected compile-key mismatch error for G=10 run on G=20 artifact")
 	}
 	bad = opt
 	bad.BothLayers = true
-	if _, err := DMoptQCPCompiled(context.Background(), c, bad); err == nil {
+	if _, err := SolveQCP(context.Background(), QCPRequest{Compiled: c, Opt: bad}); err == nil {
 		t.Fatal("expected compile-key mismatch error for both-layers run on poly artifact")
 	}
 }

@@ -1,7 +1,7 @@
-// Cutting-plane solve stage: the default engine for both DMopt
-// formulations.  It solves the identical mathematical program as the
-// node-based assembly (Eqs. 2-12) but represents the timing constraints
-// by path cuts generated on demand:
+// Cutting-plane solve stage: the engine for both DMopt formulations.
+// It solves the mathematical program of Eqs. 2-12 but represents the
+// timing constraints by path cuts generated on demand instead of one
+// arrival variable per gate:
 //
 //	nom(π) + Σ_{p∈π} (A_p·Ds·dP_{g(p)} + B_p·Ds·dA_{g(p)}) ≤ τ
 //
@@ -25,7 +25,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/dosemap"
 	"repro/internal/netlist"
@@ -42,29 +41,24 @@ type cut struct {
 }
 
 // cutPool is the growing pool of path cuts, shared by every clock-period
-// probe (a path cut is valid for all τ).  The mutex makes it safe for
-// the speculative QCP probes, which enrich the pool concurrently.
+// probe (a path cut is valid for all τ) and, on the wafer path, by every
+// member of a column group.  Its owner adds cuts serially.
 type cutPool struct {
-	mu   sync.Mutex
 	cuts []cut
 	seen map[string]bool
-	key  []byte // signature scratch, guarded by mu
+	key  []byte // signature scratch
 }
 
 // snapshot returns the current cuts.  The returned slice is never
-// mutated in place (add only appends), so callers may read it without
-// holding the lock.
+// mutated in place (add only appends), so it stays valid as the pool
+// grows.
 func (p *cutPool) snapshot() []cut {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.cuts[:len(p.cuts):len(p.cuts)]
 }
 
 // add appends c unless an equivalent cut is already pooled; it reports
 // whether the cut was new.
 func (p *cutPool) add(c cut) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.key = c.appendSignature(p.key[:0])
 	if p.seen[string(p.key)] { // the compiler looks this up without allocating
 		return false
@@ -74,11 +68,7 @@ func (p *cutPool) add(c cut) bool {
 	return true
 }
 
-func (p *cutPool) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.cuts)
-}
+func (p *cutPool) size() int { return len(p.cuts) }
 
 type cutSolver struct {
 	comp *Compiled
@@ -136,28 +126,11 @@ type cutSolver struct {
 	// arcs tabulates the golden arc delays for this run's cut rounds,
 	// built on first use (see arcTab).  acc and hit are makeCut's dense
 	// per-column accumulator, all zero/false between calls, and touched
-	// its column list.  Clones share arcs read-only but get their own
-	// makeCut scratch.
+	// its column list.
 	arcs    *arcTable
 	acc     []float64
 	hit     []bool
 	touched []int
-}
-
-// clone returns a probe-local copy sharing the read-only problem data
-// and the cut pool, with an independent warm-start iterate and dual
-// state.  Used by the speculative QCP bisection to run probes
-// concurrently; the qp.Solver is not shared (each clone builds its own
-// on first use).
-func (cs *cutSolver) clone() *cutSolver {
-	cp := *cs
-	cp.x = append([]float64(nil), cs.x...)
-	cp.y = append([]float64(nil), cs.y...)
-	cp.solver = nil
-	cp.prob = nil
-	cp.builtCuts = 0
-	cp.acc, cp.hit, cp.touched = nil, nil, nil
-	return &cp
 }
 
 // resetSolver drops the persistent solver so the next round rebuilds
@@ -167,16 +140,6 @@ func (cs *cutSolver) resetSolver() {
 	cs.solver = nil
 	cs.prob = nil
 	cs.builtCuts = 0
-}
-
-// adopt takes over the iterate, dual and tangent state of a finished
-// probe clone (the speculative bisection winner).
-func (cs *cutSolver) adopt(p *cutSolver) {
-	copy(cs.x, p.x)
-	cs.y = append(cs.y[:0], p.y...)
-	cs.tangentTau, cs.tangentObj = p.tangentTau, p.tangentObj
-	cs.tangentSlope, cs.tangentOK = p.tangentSlope, p.tangentOK
-	cs.resetSolver()
 }
 
 // newtonCandidate extrapolates the clock period where the leakage
@@ -311,17 +274,6 @@ func newCutSolverCompiled(c *Compiled, opt Options) *cutSolver {
 	}
 	cs.x = make([]float64, cs.nVar)
 	return cs
-}
-
-// newCutSolver compiles the formulation and wires a run view onto it in
-// one step (the historical constructor, kept for direct callers and
-// tests that bypass the cache layer).
-func newCutSolver(golden *sta.Result, model *Model, opt Options) (*cutSolver, error) {
-	c, err := Compile(golden, model, opt.CompileOptions())
-	if err != nil {
-		return nil, err
-	}
-	return newCutSolverCompiled(c, opt), nil
 }
 
 // deltaFn returns the per-gate linear delay delta under actuator
@@ -656,7 +608,8 @@ func (cs *cutSolver) layers() dosemap.Layers {
 	return out
 }
 
-// result packages the current iterate like the node-based path does.
+// result packages the current iterate: extract, model prediction and
+// golden signoff.
 func (cs *cutSolver) result(ctx context.Context, probes int) (*Result, error) {
 	c := cs.comp
 	asn := Assignment{Layers: cs.layers(), BiasV: cs.biasOf()}

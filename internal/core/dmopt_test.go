@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -83,7 +84,8 @@ func TestModelTracksGoldenUniformDose(t *testing.T) {
 			t.Errorf("dose %v: Δleak model %v vs golden %v µW", dose, predDelta, goldDelta)
 		}
 		// Timing.
-		_, predMCT := linearArrivals(golden, func(id int) float64 {
+		order, _ := golden.In.Circ.TopoOrder()
+		_, predMCT := linearArrivalsOrder(golden, order, newArcTable(golden), func(id int) float64 {
 			return model.A[id] * (-2) * dP[id]
 		})
 		gr, err := sta.Analyze(in, golden.Cfg, &sta.Perturb{DL: dL})
@@ -103,7 +105,7 @@ func TestDMoptQPReducesLeakage(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := DMoptQP(golden, model, opt, golden.MCT)
+	res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestDMoptQCPImprovesTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	res, err := DMoptQCP(golden, model, opt)
+	res, err := SolveQCP(context.Background(), QCPRequest{Golden: golden, Model: model, Opt: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestGranularityOrdering(t *testing.T) {
 	for _, g := range []float64{5, 30} {
 		opt := DefaultOptions()
 		opt.G = g
-		res, err := DMoptQP(golden, model, opt, golden.MCT)
+		res, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,20 +198,21 @@ func TestDMoptQPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DMoptQP(golden, model, DefaultOptions(), 0); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: DefaultOptions(), TauPs: 0}); err == nil {
 		t.Error("non-positive tau should fail")
 	}
 	bad := DefaultOptions()
 	bad.G = -1
-	if _, err := DMoptQP(golden, model, bad, golden.MCT); err == nil {
+	if _, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: bad, TauPs: golden.MCT}); err == nil {
 		t.Error("bad grid should fail")
 	}
 }
 
-// TestCutsVsNodeAgree cross-validates the two solve engines: they target
-// the identical mathematical program, so their objectives must agree
-// (the node-based ADMM carries a looser feasibility floor, hence the
-// generous tolerance).
+// TestCutsVsNodeAgree cross-validates the cut engine against the
+// node-based assembly oracle (node_oracle_test.go): they target the
+// identical mathematical program, so their objectives must agree (the
+// node-based ADMM carries a looser feasibility floor, hence the generous
+// tolerance).
 func TestCutsVsNodeAgree(t *testing.T) {
 	_, golden := smallGolden(t, 0.03)
 	model, err := FitModel(golden, false)
@@ -219,25 +222,23 @@ func TestCutsVsNodeAgree(t *testing.T) {
 	tau := golden.MCT
 
 	cuts := DefaultOptions()
-	rc, err := DMoptQP(golden, model, cuts, tau)
+	rc, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: cuts, TauPs: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := DefaultOptions()
-	node.Method = MethodNode
-	rn, err := DMoptQP(golden, model, node, tau)
+	c, err := Compile(golden, model, cuts.CompileOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.PredDeltaLeakNW >= 0 || rn.PredDeltaLeakNW >= 0 {
-		t.Fatalf("both engines must reduce leakage: cuts %v, node %v", rc.PredDeltaLeakNW, rn.PredDeltaLeakNW)
+	node := nodeQPLeak(t, c, cuts, tau)
+	if rc.PredDeltaLeakNW >= 0 || node >= 0 {
+		t.Fatalf("both engines must reduce leakage: cuts %v, node %v", rc.PredDeltaLeakNW, node)
 	}
-	rel := math.Abs(rc.PredDeltaLeakNW-rn.PredDeltaLeakNW) / math.Abs(rc.PredDeltaLeakNW)
+	rel := math.Abs(rc.PredDeltaLeakNW-node) / math.Abs(rc.PredDeltaLeakNW)
 	if rel > 0.10 {
-		t.Errorf("engines disagree: cuts %v vs node %v nW (%.1f%%)",
-			rc.PredDeltaLeakNW, rn.PredDeltaLeakNW, rel*100)
+		t.Errorf("engines disagree: cuts %v vs node %v nW (%.1f%%)", rc.PredDeltaLeakNW, node, rel*100)
 	}
-	t.Logf("objective: cuts %.1f nW, node %.1f nW (%.2f%% apart)", rc.PredDeltaLeakNW, rn.PredDeltaLeakNW, rel*100)
+	t.Logf("objective: cuts %.1f nW, node %.1f nW (%.2f%% apart)", rc.PredDeltaLeakNW, node, rel*100)
 }
 
 // TestBothLayersEdgeOut checks Section III-B / Tables V-VI: simultaneous
@@ -254,13 +255,13 @@ func TestBothLayersEdgeOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	optL := DefaultOptions()
-	rL, err := DMoptQP(golden, mL, optL, golden.MCT)
+	rL, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mL, Opt: optL, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}
 	optLW := DefaultOptions()
 	optLW.BothLayers = true
-	rLW, err := DMoptQP(golden, mLW, optLW, golden.MCT)
+	rLW, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: mLW, Opt: optLW, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}

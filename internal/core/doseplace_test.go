@@ -30,7 +30,7 @@ func TestDosePlPathReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
-	dm, err := DMoptQP(golden, model, opt, golden.MCT)
+	dm, err := SolveQP(context.Background(), QPRequest{Golden: golden, Model: model, Opt: opt, TauPs: golden.MCT})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,20 +79,6 @@ type FlowRequest struct {
 	Config FlowConfig
 }
 
-// Run executes the Fig. 7 flow.
-//
-// Deprecated: use SolveFlow.
-func Run(d *gen.Design, cfg FlowConfig) (*FlowOutcome, error) {
-	return SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
-}
-
-// RunCtx is Run with cancellation.
-//
-// Deprecated: use SolveFlow.
-func RunCtx(ctx context.Context, d *gen.Design, cfg FlowConfig) (*FlowOutcome, error) {
-	return SolveFlow(ctx, FlowRequest{Design: d, Config: cfg})
-}
-
 // SolveFlow executes the Fig. 7 flow: golden analysis → coefficient
 // fitting → DMopt → golden signoff → optional dosePl rounds.  A
 // canceled context aborts whichever stage is in flight — golden

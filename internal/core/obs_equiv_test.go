@@ -24,7 +24,7 @@ func runFlowOnce(t *testing.T, ctx context.Context) *FlowOutcome {
 	opt := DefaultOptions()
 	opt.Workers = 2 // exercise the par dispatch paths in both runs
 	cfg := FlowConfig{Opt: opt, Mode: ModeQCPTiming, RunDosePl: true, DosePl: dopt}
-	out, err := RunCtx(ctx, d, cfg)
+	out, err := SolveFlow(ctx, FlowRequest{Design: d, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Run-request types of the DMopt pipeline: Options parameterize one
-// solve (clock-period target, leakage budget, engine, solver budgets),
+// solve (clock-period target, leakage budget, solver budgets),
 // while the design-invariant subset — grid geometry, dose range,
 // smoothness, layers — is split off by Options.CompileOptions into the
 // compile stage (see compile.go).
@@ -49,10 +49,6 @@ type Options struct {
 	SeedTau float64
 	// MaxProbes bounds the QCP bisection length.
 	MaxProbes int
-	// Method selects the solve engine: the default cutting-plane engine
-	// or the node-based arrival-variable assembly (kept for
-	// cross-validation; slower to converge under ADMM).
-	Method Method
 	// CutRounds, CutsPerRound and CutTolPs tune the cutting-plane engine
 	// (zero values select sensible defaults).
 	CutRounds    int
@@ -67,12 +63,6 @@ type Options struct {
 	// Workers goroutines.  Zero selects runtime.GOMAXPROCS(0).  Results
 	// are bit-identical for every worker count.
 	Workers int
-	// Speculate lets the QCP bisection run probes concurrently,
-	// sharing the cut pool under a mutex.  Off by default because the
-	// extra probes enrich the pool and thereby change (slightly) the
-	// warm-start trajectory: the result is still a valid optimum but
-	// not bit-identical to the serial bisection.
-	Speculate bool
 
 	// Actuator selection.  The zero values reproduce the dose-only
 	// pipeline bit-for-bit.
@@ -129,18 +119,6 @@ const (
 	DefaultBiasHi = 0.1
 )
 
-// Method selects the DMopt solve engine.
-type Method int
-
-const (
-	// MethodCuts solves the QP over dose variables with on-demand path
-	// cuts (default).
-	MethodCuts Method = iota
-	// MethodNode solves the full node-based assembly with arrival-time
-	// variables (Eq. 5/10 verbatim).
-	MethodNode
-)
-
 // DefaultOptions returns the paper's main configuration: 5 µm grids,
 // δ = 2, ±5% dose range, poly-only, ξ = 0 (no leakage increase allowed).
 func DefaultOptions() Options {
@@ -177,10 +155,8 @@ type Result struct {
 	Nominal, Golden Eval
 	// Probes counts QCP bisection iterations (1 for the plain QP).
 	Probes int
-	// ArrivalVars is the number of timing-relevant gates given arrival
-	// variables after pruning.
-	ArrivalVars int
-	// Rows and Cols are the assembled constraint-matrix dimensions.
+	// Rows is the number of path cuts in the final pool and Cols the
+	// number of actuator variables.
 	Rows, Cols int
 	// BiasV holds the optimized per-domain body-bias voltages in V
 	// (unsnapped, like Layers holds unsnapped doses); nil when the bias

@@ -45,7 +45,6 @@ func TestParallelFactorBitIdentity(t *testing.T) {
 	}
 	solve := func(workers int) outcome {
 		set := qp.DefaultSettings()
-		set.LinSys = qp.LinSysLDLT
 		set.Workers = workers
 		s, err := qp.NewSolver(prob, set)
 		if err != nil {

@@ -505,7 +505,6 @@ func SolveWafer(ctx context.Context, req WaferRequest) (*WaferResult, error) {
 	defer sp.End()
 	opt := req.Opt.normalized()
 	opt.Snap = false
-	opt.Speculate = false
 	if err := c.check(opt); err != nil {
 		return nil, err
 	}

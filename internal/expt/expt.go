@@ -26,7 +26,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/power"
-	"repro/internal/qp"
 	"repro/internal/sta"
 	"repro/internal/tech"
 )
@@ -108,9 +107,6 @@ type Context struct {
 	// and the Workers knobs of the underlying STA/fit/QP layers.  Zero
 	// selects runtime.GOMAXPROCS(0).
 	Workers int
-	// LinSys selects the ADMM x-step backend for every QP the harness
-	// solves (auto / cg / ldlt).
-	LinSys qp.LinSys
 
 	mu       sync.Mutex
 	designs  map[string]*memo[*gen.Design]
@@ -184,12 +180,6 @@ func WithTopK(k int) Option {
 // runtime.GOMAXPROCS(0).
 func WithWorkers(n int) Option {
 	return func(c *Context) { c.Workers = n }
-}
-
-// WithLinSys selects the ADMM x-step linear-system backend for every QP
-// the harness solves.
-func WithLinSys(l qp.LinSys) Option {
-	return func(c *Context) { c.LinSys = l }
 }
 
 // New returns a harness context with the paper's configuration (full
@@ -734,7 +724,6 @@ func (c *Context) runDMActuators(ctx context.Context, design string, gridUm floa
 	opt.G = gridUm
 	opt.BothLayers = bothLayers
 	opt.Workers = c.Workers
-	opt.QP.LinSys = c.LinSys
 	switch actuators {
 	case "", "dose":
 	case "bias":
@@ -1118,7 +1107,6 @@ func (c *Context) TableVIIICtx(ctx context.Context) (*Table, error) {
 		opt := core.DefaultOptions()
 		opt.G = gridsFor(name, c.Scale)[0]
 		opt.Workers = c.Workers
-		opt.QP.LinSys = c.LinSys
 		// Compile while the placement is pristine: the artifact snapshots
 		// the gate→grid map, and dosePl moves cells afterwards.
 		comp, err := c.compiledCtx(ctx, name, opt.CompileOptions())
@@ -1174,7 +1162,6 @@ func (c *Context) Fig10ProfilesCtx(ctx context.Context, design string) (map[stri
 	opt := core.DefaultOptions()
 	opt.G = gridsFor(design, c.Scale)[0]
 	opt.Workers = c.Workers
-	opt.QP.LinSys = c.LinSys
 	opt.STA.Workers = c.Workers
 	// Compile while the placement is pristine (dosePl moves cells below).
 	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
@@ -1412,7 +1399,6 @@ func (c *Context) WaferRunCtx(ctx context.Context, design string, gridUm float64
 	opt := core.DefaultOptions()
 	opt.G = gridUm
 	opt.Workers = c.Workers
-	opt.QP.LinSys = c.LinSys
 	comp, err := c.compiledCtx(ctx, design, opt.CompileOptions())
 	if err != nil {
 		return nil, err

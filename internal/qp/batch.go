@@ -1,8 +1,8 @@
 // Lockstep batched ADMM.  SolveBatchCtx advances a family of Solvers
 // whose scaled matrices are bitwise identical through their ADMM
 // iterations in lockstep: every iteration assembles one right-hand side
-// per member and hands the block to the lead solver's linear backend as
-// a single multi-RHS solve (linsys.solveBatch), so the LDLᵀ factor is
+// per member and hands the block to the lead solver's LDLᵀ factor as a
+// single multi-RHS solve (ldltBackend.solveBatch), so the factor is
 // streamed through cache once per iteration instead of once per member.
 // The wafer consensus loop is the producer of such families: every
 // field of a column group shares P, A and the equilibration by
@@ -29,21 +29,15 @@ import (
 
 // batchCompatible reports whether the family can share the lead
 // solver's factor: identical dimensions and settings, bitwise-identical
-// scaled matrices and scalings, equal ρ, and a direct (LDLᵀ) backend on
-// every member.  Bounds l/u, linear terms q and iterate state are free
-// to differ.  The check is O(nnz) — trivial against the factorization
-// and solve work it guards — and failing it is never an error: the
-// caller degrades to sequential per-member solves.
+// scaled matrices and scalings, and equal ρ.  Bounds l/u, linear terms
+// q and iterate state are free to differ.  The check is O(nnz) — trivial
+// against the factorization and solve work it guards — and failing it
+// is never an error: the caller degrades to sequential per-member
+// solves.
 func batchCompatible(ss []*Solver) bool {
 	h := ss[0]
-	if h.lin.kind() != LinSysLDLT {
-		return false
-	}
 	for _, s := range ss[1:] {
 		if s.n != h.n || s.m != h.m || s.set != h.set {
-			return false
-		}
-		if s.lin.kind() != LinSysLDLT {
 			return false
 		}
 		if math.Float64bits(s.rho) != math.Float64bits(h.rho) ||
@@ -69,8 +63,9 @@ func batchCompatible(ss []*Solver) bool {
 // moving while the rest of the family continues — and ρ is adapted
 // once for the whole family from the worst tolerance-normalized
 // residuals, staying equal across members so the family remains
-// batchable on the next call.  A canceled context stops every member
-// within one iteration, returning the usual wrapped error.
+// batchable on the next call.  A canceled context or a zero pivot in
+// the shared factor stops every member within one iteration, returning
+// the usual wrapped error.
 func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	if len(solvers) == 0 {
 		return nil, nil
@@ -100,8 +95,6 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 	results := make([]*Result, nb)
 	snaps := make([]ctrSnap, nb)
 	warms := make([]bool, nb)
-	lastPrim := make([]float64, nb)
-	lastDual := make([]float64, nb)
 	bestScore := make([]float64, nb)
 	stalledChecks := make([]int, nb)
 	for q, s := range solvers {
@@ -132,42 +125,21 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 		}
 
 		// x-step: one right-hand side per live member, one multi-RHS
-		// solve against the lead solver's backend.  The tolerance is the
-		// tightest of the members' inexact-ADMM schedules (only the CG
-		// path reads it; a mid-flight LDLᵀ breakdown lands there).
-		tol := math.Inf(1)
+		// solve against the lead solver's factor.
+		xs, bs = xs[:0], bs[:0]
 		for _, q := range live {
 			s := solvers[q]
 			s.assembleXStepRHS()
-			if t := cgTolFor(set, lastPrim[q], lastDual[q]); t < tol {
-				tol = t
-			}
+			xs = append(xs, s.xt)
+			bs = append(bs, s.rhs)
 		}
-		if host.lin.kind() != LinSysLDLT {
+		if err := host.lin.solveBatch(xs, bs); err != nil {
+			cause = fmt.Errorf("qp: x-step at iteration %d: %w", iter, err)
 			for _, q := range live {
-				copy(solvers[q].xt, solvers[q].x) // CG warm start from x
+				results[q].Iters = iter - 1
 			}
+			break
 		}
-		xs, bs = xs[:0], bs[:0]
-		for _, q := range live {
-			xs = append(xs, solvers[q].xt)
-			bs = append(bs, solvers[q].rhs)
-		}
-		iters, lerr := host.lin.solveBatch(xs, bs, tol)
-		if lerr != nil {
-			// LDLᵀ numeric breakdown on the shared factor: the matrices
-			// are identical, so the lead's CG fallback serves the whole
-			// family (its solveBatch degrades to per-RHS CG runs).
-			host.fallbackToCG()
-			for _, q := range live {
-				copy(solvers[q].xt, solvers[q].x)
-			}
-			iters, _ = host.lin.solveBatch(xs, bs, tol)
-		}
-		// Inner iterations come back as a per-batch total (the backend
-		// does not split them by member); attribute them to the first
-		// live member rather than multi-counting.
-		results[live[0]].CGIters += iters
 
 		for _, q := range live {
 			s := solvers[q]
@@ -189,7 +161,6 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 			s := solvers[q]
 			res := results[q]
 			prim, dual, epsP, epsD := s.residuals()
-			lastPrim[q], lastDual[q] = prim, dual
 			res.Iters = iter
 			res.PrimRes, res.DualRes = prim, dual
 			if prim <= epsP && dual <= epsD {
@@ -216,7 +187,6 @@ func SolveBatchCtx(ctx context.Context, solvers []*Solver) ([]*Result, error) {
 				// Per-member in-place restart (z re-anchored), exactly as
 				// in SolveCtx; the ρ part of the restart is shared below.
 				s.a.MulVec(s.z, s.x)
-				lastPrim[q], lastDual[q] = 0, 0
 				stalledChecks[q] = 0
 				res.Restarts++
 				restart = true

@@ -33,7 +33,6 @@ func batchFamily(t testing.TB, rng *rand.Rand, n, nb, workers int) ([]*Solver, [
 	inf := math.Inf(1)
 
 	set := DefaultSettings()
-	set.LinSys = LinSysLDLT
 	set.Workers = workers
 
 	solvers := make([]*Solver, nb)
@@ -94,7 +93,7 @@ func TestSolveBatchLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr := solo.Solve()
+		sr := mustSolve(t, solo)
 		if sr.Status != Solved {
 			t.Fatalf("member %d solo: status %v", q, sr.Status)
 		}
@@ -171,7 +170,7 @@ func TestSolveBatchFallbackBitIdentity(t *testing.T) {
 	seq[1].q[0] += 1e-9
 	seq[1].p.Val[0] *= 1 + 1e-12
 	for q, s := range seq {
-		sr := s.Solve()
+		sr := mustSolve(t, s)
 		for j := range sr.X {
 			if math.Float64bits(results[q].X[j]) != math.Float64bits(sr.X[j]) {
 				t.Fatalf("member %d: fallback X[%d] differs from sequential", q, j)

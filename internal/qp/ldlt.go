@@ -13,10 +13,9 @@
 //     the symbolic analysis every time.
 //
 // Between refactorizations every ADMM x-step is two sparse triangular
-// solves plus a diagonal scale — O(nnz(L)) with no inner iteration —
-// which is what kills the conjugate-gradient loop on the cut-generation
-// hot path: the cut QP's KKT matrix is τ-invariant, so whole bisection
-// probes run on a single factor.
+// solves plus a diagonal scale — O(nnz(L)) with no inner iteration.
+// On the cut-generation hot path the cut QP's KKT matrix is τ-invariant,
+// so whole bisection probes run on a single factor.
 //
 // The numeric phase is SUPERNODAL: the symbolic phase groups maximal
 // chains of elimination-tree columns with identical below-diagonal
@@ -1237,14 +1236,8 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// NNZL returns the fill count nnz(L) predicted by the symbolic phase,
-// and NNZK the stored upper-triangular pattern size of K.  Their ratio
-// is the fill estimate the Auto backend selection uses.
-func (f *ldltFactor) NNZL() int { return f.lp[f.n] }
-func (f *ldltFactor) NNZK() int { return len(f.ki) }
-
 // errNotPositiveDefinite reports a zero pivot during the numeric
-// phase; the caller falls back to the CG backend.
+// phase; SolveCtx and SolveBatchCtx return it wrapped.
 var errNotPositiveDefinite = errors.New("qp: ldlt: zero pivot (matrix not positive definite)")
 
 // Parallel dispatch thresholds.  Below minParCols total columns the

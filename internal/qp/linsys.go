@@ -1,138 +1,14 @@
-// Linear-system backends for the ADMM x-step.  Every iteration solves
+// The ADMM x-step linear system.  Every iteration solves
 //
 //	(P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y)
 //
 // against the same matrix K until ρ adapts or constraint rows are
-// appended.  Two interchangeable backends exist:
-//
-//   - cgBackend: the original Jacobi-preconditioned conjugate-gradient
-//     loop — matrix-free, O(nnz) per iteration, worker-parallel
-//     mat-vecs, robust for any fill;
-//   - ldltBackend: a cached sparse LDLᵀ factor of K — factor once per
-//     ρ, then every x-step is two triangular solves, no inner loop.
-//
-// Settings.LinSys selects a backend; the Auto default measures the
-// symbolic fill estimate and picks LDLᵀ when the factor stays sparse
-// (the dose-map QPs: banded grid Laplacian plus short cut rows), CG
-// otherwise.  A numeric breakdown in LDLᵀ (zero pivot) falls back to
-// CG for the remainder of the solver's life.
+// appended.  K is symmetric positive definite because σ > 0 (enforced
+// by NewSolver), so the solver keeps a cached sparse LDLᵀ factor of K:
+// factor once per ρ, then every x-step is two triangular solves.  A
+// zero pivot (K numerically singular) is reported as an error wrapping
+// errNotPositiveDefinite.
 package qp
-
-import "fmt"
-
-// LinSys selects the ADMM x-step linear-system backend.
-type LinSys int
-
-const (
-	// LinSysAuto picks LDLᵀ when the symbolic fill estimate is below
-	// autoFillLimit, CG otherwise.
-	LinSysAuto LinSys = iota
-	// LinSysCG forces the preconditioned conjugate-gradient backend.
-	LinSysCG
-	// LinSysLDLT forces the cached sparse LDLᵀ backend.
-	LinSysLDLT
-)
-
-func (l LinSys) String() string {
-	switch l {
-	case LinSysAuto:
-		return "auto"
-	case LinSysCG:
-		return "cg"
-	case LinSysLDLT:
-		return "ldlt"
-	}
-	return fmt.Sprintf("linsys(%d)", int(l))
-}
-
-// ParseLinSys parses a -linsys flag value.
-func ParseLinSys(s string) (LinSys, error) {
-	switch s {
-	case "", "auto":
-		return LinSysAuto, nil
-	case "cg":
-		return LinSysCG, nil
-	case "ldlt":
-		return LinSysLDLT, nil
-	}
-	return LinSysAuto, fmt.Errorf("qp: unknown linear-system backend %q (want auto, cg or ldlt)", s)
-}
-
-// autoFillLimit is the Auto-selection threshold: LDLᵀ is chosen when
-// nnz(L) ≤ autoFillLimit × nnz(triu K).  Beyond that the factor's
-// triangular solves cost more than the few CG iterations the warm-
-// started ADMM x-step typically needs.
-const autoFillLimit = 20
-
-// linsys is the x-step solver contract.  Implementations live inside
-// one Solver and work on its scaled data.
-type linsys interface {
-	// solve overwrites x with (an approximation of) K⁻¹b for the
-	// current s.rho, starting from the initial guess already in x
-	// (iterative backends) and stopping at tol.  It returns the inner
-	// iteration count (0 for direct backends).
-	solve(x, b []float64, tol float64) (int, error)
-	// solveBatch solves K x[q] = b[q] for every right-hand side against
-	// one factorization pass: the direct backend streams the factor
-	// through cache once per supernode for the whole block, iterative
-	// backends degrade to per-RHS solves.  Each x[q] is bitwise
-	// identical to a solo solve(x[q], b[q], tol) call.
-	solveBatch(xs, bs [][]float64, tol float64) (int, error)
-	// appendRows re-syncs the backend after rows were appended to s.a.
-	appendRows(fromRow int)
-	// kind names the backend for telemetry.
-	kind() LinSys
-}
-
-// --- CG backend -----------------------------------------------------------
-
-// cgBackend wraps the historical preconditioned CG loop.  The Jacobi
-// preconditioner is rebuilt into solver scratch whenever ρ moved.
-type cgBackend struct {
-	s       *Solver
-	precond []float64
-	rho     float64 // ρ the preconditioner was built for (NaN-safe: 0 = never)
-	fresh   bool
-}
-
-func newCGBackend(s *Solver) *cgBackend {
-	return &cgBackend{s: s, precond: make([]float64, s.n)}
-}
-
-func (b *cgBackend) solve(x, bvec []float64, tol float64) (int, error) {
-	s := b.s
-	if !b.fresh || b.rho != s.rho {
-		for j := 0; j < s.n; j++ {
-			b.precond[j] = 1 / (s.diagP[j] + s.set.Sigma + s.rho*s.diagTA[j])
-		}
-		b.rho = s.rho
-		b.fresh = true
-	}
-	return s.cg(x, bvec, tol, b.precond), nil
-}
-
-func (b *cgBackend) solveBatch(xs, bs [][]float64, tol float64) (int, error) {
-	// No factor to stream: a batch is just the member solves in order.
-	total := 0
-	for q := range xs {
-		it, err := b.solve(xs[q], bs[q], tol)
-		total += it
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (b *cgBackend) appendRows(int) {
-	// diagTA already carries the appended rows; just force a
-	// preconditioner rebuild.
-	b.fresh = false
-}
-
-func (b *cgBackend) kind() LinSys { return LinSysCG }
-
-// --- LDLᵀ backend ---------------------------------------------------------
 
 // defaultFactorCache is the ρ-ladder factor-cache capacity when
 // Settings.FactorCache is zero.  Ten slots cover the working set the
@@ -289,20 +165,25 @@ func (b *ldltBackend) ensureFactored() error {
 	return nil
 }
 
-func (b *ldltBackend) solve(x, bvec []float64, _ float64) (int, error) {
+// solve overwrites x with K⁻¹b for the current ρ.
+func (b *ldltBackend) solve(x, bvec []float64) error {
 	if err := b.ensureFactored(); err != nil {
-		return 0, err
+		return err
 	}
 	s := b.s
 	b.f.SolveW(x, bvec, s.set.Workers)
 	s.nTriSolve++
 	s.nDenseFlops += b.f.denseSolveFlops
-	return 0, nil
+	return nil
 }
 
-func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
+// solveBatch solves K x[q] = b[q] for every right-hand side against one
+// factorization pass, streaming the factor through cache once per
+// supernode for the whole block.  Each x[q] is bitwise identical to a
+// solo solve(x[q], b[q]) call.
+func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
 	if err := b.ensureFactored(); err != nil {
-		return 0, err
+		return err
 	}
 	s := b.s
 	b.f.SolveBatchW(xs, bs, s.set.Workers)
@@ -311,9 +192,10 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64, _ float64) (int, error) {
 	s.nDenseFlops += nrhs * b.f.denseSolveFlops
 	s.nSolveBatch++
 	s.nSolveRHS += nrhs
-	return 0, nil
+	return nil
 }
 
+// appendRows re-syncs the factor after rows were appended to s.a.
 func (b *ldltBackend) appendRows(fromRow int) {
 	sym := b.f.nSymbolic
 	if b.f.AppendRows(b.s.a, fromRow) {
@@ -331,42 +213,23 @@ func (b *ldltBackend) appendRows(fromRow int) {
 	clear(b.built)
 }
 
-func (b *ldltBackend) kind() LinSys { return LinSysLDLT }
-
-// initLinsys chooses and constructs the backend after the scaled
-// problem data is final.  Auto runs the symbolic analysis either way
-// (it is cheap — pattern merge plus an elimination-tree pass) and keeps
-// the factor only when the fill estimate clears the threshold.
+// initLinsys builds the x-step factor once the scaled problem data is
+// final.
 func (s *Solver) initLinsys() {
-	if s.set.LinSys == LinSysCG {
-		s.lin = newCGBackend(s)
-		return
-	}
 	f := newLDLTFactor(s.p, s.set.Sigma, s.a, s.n)
 	s.nSymbolic += f.nSymbolic
-	if s.set.LinSys == LinSysLDLT || f.NNZL() <= autoFillLimit*f.NNZK() {
-		s.lin = newLDLTBackend(s, f)
-		return
-	}
-	s.lin = newCGBackend(s)
-}
-
-// fallbackToCG permanently switches a solver whose LDLᵀ factor broke
-// down (zero pivot on a numerically semidefinite K) to the CG backend.
-func (s *Solver) fallbackToCG() {
-	s.lin = newCGBackend(s)
-	s.linFallbacks++
+	s.lin = newLDLTBackend(s, f)
 }
 
 // FactorEntries exposes a copy of the live LDLᵀ numeric factor — the
 // off-diagonal values of L (materialized from the supernodal panels
 // into the internal column-compressed order) and the pivot diagonal D
-// — when the x-step backend currently holds one.  It exists for
-// determinism audits: the bit-identity tests compare factors produced
-// at different worker counts entry by entry.
+// — once one has been computed.  It exists for determinism audits: the
+// bit-identity tests compare factors produced at different worker
+// counts entry by entry.
 func (s *Solver) FactorEntries() (l, d []float64, ok bool) {
-	b, isLDLT := s.lin.(*ldltBackend)
-	if !isLDLT || !b.factored {
+	b := s.lin
+	if !b.factored {
 		return nil, nil, false
 	}
 	return b.f.factorL(), append([]float64(nil), b.f.d...), true

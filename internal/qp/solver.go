@@ -121,21 +121,13 @@ type Settings struct {
 	AdaptiveRho bool
 	CheckEvery  int // residual/infeasibility check interval
 	ScaleIters  int // Ruiz equilibration iterations (0 disables scaling)
-	CGTol       float64
-	CGMaxIter   int
-	// TimeLimitIter aborts CG-heavy stalls; 0 means no extra bound.
-	EpsInfeas float64
-	// LinSys selects the x-step linear-system backend: the cached
-	// sparse LDLᵀ factorization or the preconditioned CG loop.  The
-	// zero value (Auto) picks LDLᵀ when the symbolic fill estimate is
-	// low and CG otherwise; see linsys.go.
-	LinSys LinSys
-	// Workers bounds the fan-out of the CSR mat-vec and dot-product
-	// kernels inside CG and of the LDLᵀ numeric factorization and
-	// triangular solves (elimination-tree level sets).  Zero selects
-	// runtime.GOMAXPROCS(0).  All reductions use a fixed block order
-	// and the factor kernel a fixed per-column accumulation order, so
-	// the solve trajectory is bit-identical for every worker count.
+	EpsInfeas   float64
+	// Workers bounds the fan-out of the CSR mat-vec kernel and of the
+	// LDLᵀ numeric factorization and triangular solves (elimination-tree
+	// level sets).  Zero selects runtime.GOMAXPROCS(0).  The mat-vec
+	// partitions rows and the factor kernel keeps a fixed per-column
+	// accumulation order, so the solve trajectory is bit-identical for
+	// every worker count.
 	Workers int
 	// FactorCache sizes the LDLᵀ ρ-ladder factor cache: an LRU of
 	// numeric factors keyed by (ρ, pattern epoch) that turns adaptive-ρ
@@ -157,8 +149,6 @@ func DefaultSettings() Settings {
 		AdaptiveRho: true,
 		CheckEvery:  25,
 		ScaleIters:  10,
-		CGTol:       1e-7,
-		CGMaxIter:   500,
 		EpsInfeas:   1e-5,
 	}
 }
@@ -172,7 +162,6 @@ type Result struct {
 	Iters    int
 	PrimRes  float64
 	DualRes  float64
-	CGIters  int // cumulative inner CG iterations
 	Restarts int // in-place stall restarts (z re-anchored, ρ reset)
 	RhoFinal float64
 }
@@ -190,20 +179,17 @@ type Solver struct {
 
 	n, m int
 	// Scaled copies.
-	p      *CSR
-	q      []float64
-	a      *CSR
-	l, u   []float64
-	d, e   []float64 // column / row equilibration scalings
-	cinv   float64   // inverse cost scaling
-	diagP  []float64
-	diagTA []float64
+	p    *CSR
+	q    []float64
+	a    *CSR
+	l, u []float64
+	d, e []float64 // column / row equilibration scalings
+	cinv float64   // inverse cost scaling
 
 	// Iterates (scaled space).
-	x, y, z                   []float64
-	xt, zt                    []float64
-	rhs, tmp                  []float64
-	cgR, cgZ, cgP, cgAp, cgAx []float64
+	x, y, z  []float64
+	xt, zt   []float64
+	rhs, tmp []float64
 
 	// Reusable scratch for the per-check residual evaluation, the
 	// infeasibility certificate, and the unscaled Objective /
@@ -216,20 +202,19 @@ type Solver struct {
 
 	rho float64
 
-	// lin is the x-step linear-system backend (LDLᵀ or CG); the
-	// counters feed the qp/factorizations, qp/refactorizations and
-	// qp/triangular_solves telemetry.
-	lin          linsys
-	nFactor      int64
-	nRefactor    int64
-	nTriSolve    int64
-	nCacheHit    int64
-	nCacheEvict  int64
-	nParLevels   int64
-	linFallbacks int64
-	nDenseFlops  int64
-	nSolveBatch  int64
-	nSolveRHS    int64
+	// lin is the x-step LDLᵀ factor of K; the counters feed the
+	// qp/factorizations, qp/refactorizations and qp/triangular_solves
+	// telemetry.
+	lin         *ldltBackend
+	nFactor     int64
+	nRefactor   int64
+	nTriSolve   int64
+	nCacheHit   int64
+	nCacheEvict int64
+	nParLevels  int64
+	nDenseFlops int64
+	nSolveBatch int64
+	nSolveRHS   int64
 
 	// Set-up counters: LDLᵀ symbolic passes (factor builds and row
 	// appends) and re-orderings taken on append.  Both happen between
@@ -247,9 +232,31 @@ type Solver struct {
 	orig *Problem
 }
 
+// validate rejects settings the ADMM iteration cannot run on: σ ≤ 0
+// would let K = P + σI + ρAᵀA go singular, and a zero check interval
+// would divide by zero.
+func (set Settings) validate() error {
+	switch {
+	case !(set.Sigma > 0):
+		return fmt.Errorf("qp: sigma %g must be positive", set.Sigma)
+	case !(set.Rho > 0):
+		return fmt.Errorf("qp: rho %g must be positive", set.Rho)
+	case !(set.Alpha > 0 && set.Alpha < 2):
+		return fmt.Errorf("qp: alpha %g outside (0, 2)", set.Alpha)
+	case set.MaxIter < 1:
+		return fmt.Errorf("qp: max iterations %d below 1", set.MaxIter)
+	case set.CheckEvery < 1:
+		return fmt.Errorf("qp: check interval %d below 1", set.CheckEvery)
+	}
+	return nil
+}
+
 // NewSolver prepares a solver for the given problem.  The problem data is
 // copied; later mutations of prob do not affect the solver.
 func NewSolver(prob *Problem, set Settings) (*Solver, error) {
+	if err := set.validate(); err != nil {
+		return nil, err
+	}
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -282,8 +289,6 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 		s.e[i] = 1
 	}
 	s.equilibrate()
-	s.diagP = diagOf(s.p, n)
-	s.diagTA = s.a.DiagATA()
 	s.x = make([]float64, n)
 	s.y = make([]float64, m)
 	s.z = make([]float64, m)
@@ -291,11 +296,6 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	s.zt = make([]float64, m)
 	s.rhs = make([]float64, n)
 	s.tmp = make([]float64, m)
-	s.cgR = make([]float64, n)
-	s.cgZ = make([]float64, n)
-	s.cgP = make([]float64, n)
-	s.cgAp = make([]float64, n)
-	s.cgAx = make([]float64, m)
 	s.resAx = make([]float64, m)
 	s.resPx = make([]float64, n)
 	s.resAty = make([]float64, n)
@@ -305,10 +305,6 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	s.initLinsys()
 	return s, nil
 }
-
-// Backend reports which linear-system backend the solver selected
-// (after Auto resolution, and after any runtime fallback to CG).
-func (s *Solver) Backend() LinSys { return s.lin.kind() }
 
 // Objective evaluates ½ xᵀPx + qᵀx of the ORIGINAL (unscaled) problem
 // using solver scratch — the allocation-free twin of
@@ -384,9 +380,6 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	s.a = ConcatRows(s.a, scaled)
 	s.a.markOneRows()
 	s.m = s.a.M
-	for k, col := range scaled.Col {
-		s.diagTA[col] += scaled.Val[k] * scaled.Val[k]
-	}
 	s.e = append(s.e, eNew...)
 	for i := 0; i < a.M; i++ {
 		s.l = append(s.l, l[i]*eNew[i])
@@ -397,7 +390,6 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	s.z = grow(s.z)
 	s.zt = grow(s.zt)
 	s.tmp = grow(s.tmp)
-	s.cgAx = grow(s.cgAx)
 	s.resAx = grow(s.resAx)
 	s.dyAcc = grow(s.dyAcc)
 	s.vioAx = grow(s.vioAx)
@@ -413,21 +405,6 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 	}
 	s.lin.appendRows(mOld)
 	return nil
-}
-
-func diagOf(p *CSR, n int) []float64 {
-	d := make([]float64, n)
-	if p == nil {
-		return d
-	}
-	for r := 0; r < p.M; r++ {
-		for k := p.RowPtr[r]; k < p.RowPtr[r+1]; k++ {
-			if p.Col[k] == r {
-				d[r] += p.Val[k]
-			}
-		}
-	}
-	return d
 }
 
 // equilibrate applies modified Ruiz equilibration to the stacked matrix
@@ -572,13 +549,6 @@ func (s *Solver) UpdateBounds(l, u []float64) error {
 	return nil
 }
 
-// Solve runs ADMM from the current iterate (zero on first use, or the
-// previous solution / warm start on subsequent calls).
-func (s *Solver) Solve() *Result {
-	res, _ := s.SolveCtx(context.Background())
-	return res
-}
-
 // assembleXStepRHS builds the x-step right-hand side
 // σx − q + Aᵀ(ρz − y) into s.rhs (s.tmp is scratch).
 func (s *Solver) assembleXStepRHS() {
@@ -592,24 +562,6 @@ func (s *Solver) assembleXStepRHS() {
 		rhs[j] = sigma*x[j] - q[j]
 	}
 	s.a.AddMulTVec(s.rhs, s.tmp)
-}
-
-// cgTolFor is the inexact-ADMM tolerance schedule of the iterative
-// x-step backends: loose while the outer residuals are still large,
-// tightening to the configured floor as they fall.  Direct backends
-// ignore the tolerance.
-func cgTolFor(set Settings, lastPrim, lastDual float64) float64 {
-	tol := set.CGTol
-	if lastPrim > 0 {
-		t := 0.05 * math.Min(lastPrim, lastDual)
-		if t > tol {
-			tol = t
-		}
-		if tol > 1e-3 {
-			tol = 1e-3
-		}
-	}
-	return tol
 }
 
 // applyRelaxation applies the over-relaxed ADMM iterate updates after
@@ -642,13 +594,13 @@ func (s *Solver) applyRelaxation() {
 // ctrSnap freezes the solver's backend counters at solve entry so the
 // telemetry block can report per-solve deltas.
 type ctrSnap struct {
-	factor, refactor, trisolve, fallback int64
-	cacheHit, cacheEvict, parLevels      int64
-	denseFlops, solveBatch, solveRHS     int64
+	factor, refactor, trisolve       int64
+	cacheHit, cacheEvict, parLevels  int64
+	denseFlops, solveBatch, solveRHS int64
 }
 
 func (s *Solver) snapCounters() ctrSnap {
-	return ctrSnap{s.nFactor, s.nRefactor, s.nTriSolve, s.linFallbacks,
+	return ctrSnap{s.nFactor, s.nRefactor, s.nTriSolve,
 		s.nCacheHit, s.nCacheEvict, s.nParLevels,
 		s.nDenseFlops, s.nSolveBatch, s.nSolveRHS}
 }
@@ -664,7 +616,6 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	}
 	rec.Add("qp/solves", 1)
 	rec.Add("qp/iterations", int64(res.Iters))
-	rec.Add("qp/cg_iterations", int64(res.CGIters))
 	rec.Add("qp/restarts", int64(res.Restarts))
 	rec.Add("qp/factorizations", s.nFactor-c0.factor)
 	rec.Add("qp/refactorizations", s.nRefactor-c0.refactor)
@@ -672,8 +623,6 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	rec.Add("qp/factor_cache_hits", s.nCacheHit-c0.cacheHit)
 	rec.Add("qp/factor_cache_evictions", s.nCacheEvict-c0.cacheEvict)
 	rec.Add("qp/parallel_factor_levels", s.nParLevels-c0.parLevels)
-	rec.Add("qp/linsys_fallbacks", s.linFallbacks-c0.fallback)
-	rec.Add("qp/linsys_"+s.lin.kind().String()+"_solves", 1)
 	rec.Add("qp/dense_flops", s.nDenseFlops-c0.denseFlops)
 	rec.Add("qp/solve_batches", s.nSolveBatch-c0.solveBatch)
 	rec.Add("qp/solve_rhs", s.nSolveRHS-c0.solveRHS)
@@ -684,17 +633,17 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	}
 	rec.Set("qp/prim_res", res.PrimRes)
 	rec.Set("qp/dual_res", res.DualRes)
-	rec.Set("qp/linsys_backend", float64(s.lin.kind()))
-	if b, ok := s.lin.(*ldltBackend); ok {
-		rec.Set("qp/supernodes", float64(len(b.f.sPtr)-1))
-		rec.Set("qp/supernode_cols_max", float64(b.f.maxSuperCols))
-	}
+	rec.Set("qp/supernodes", float64(len(s.lin.f.sPtr)-1))
+	rec.Set("qp/supernode_cols_max", float64(s.lin.f.maxSuperCols))
 }
 
-// SolveCtx is Solve with cancellation: the context is checked at every
-// ADMM iteration boundary, and a canceled context stops the loop
-// within one iteration, returning the best iterate so far together
-// with an error that wraps context.Canceled.
+// SolveCtx runs ADMM from the current iterate (zero on first use, or
+// the previous solution / warm start on subsequent calls).  The context
+// is checked at every iteration boundary: a canceled context stops the
+// loop within one iteration, returning the best iterate so far together
+// with an error that wraps context.Canceled.  A zero pivot in the LDLᵀ
+// factor of K stops the loop the same way, with an error wrapping
+// errNotPositiveDefinite.
 func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 	n, m := s.n, s.m
 	set := s.set
@@ -706,7 +655,6 @@ func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 		dyAcc[i] = 0
 	}
 	c0 := s.snapCounters()
-	var lastPrim, lastDual float64
 	var cause error
 
 	// Stall-restart state: ADMM with a drifted splitting variable or a
@@ -726,19 +674,11 @@ func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 		}
 		// x-step: (P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y)
 		s.assembleXStepRHS()
-		cgTol := cgTolFor(set, lastPrim, lastDual)
-		if s.lin.kind() != LinSysLDLT {
-			copy(s.xt, s.x) // warm start (iterative backends) from current x
+		if err := s.lin.solve(s.xt, s.rhs); err != nil {
+			cause = fmt.Errorf("qp: x-step at iteration %d: %w", iter, err)
+			res.Iters = iter - 1
+			break
 		}
-		iters, lerr := s.lin.solve(s.xt, s.rhs, cgTol)
-		if lerr != nil {
-			// LDLᵀ numeric breakdown: fall back to CG for good and
-			// redo this x-step (the iterate is untouched on error).
-			s.fallbackToCG()
-			copy(s.xt, s.x)
-			iters, _ = s.lin.solve(s.xt, s.rhs, cgTol)
-		}
-		res.CGIters += iters
 
 		// z̃ = A x̃, then the over-relaxed iterate updates.
 		s.a.MulVecW(s.zt, s.xt, workers)
@@ -749,7 +689,6 @@ func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 		}
 
 		prim, dual, epsP, epsD := s.residuals()
-		lastPrim, lastDual = prim, dual
 		res.Iters = iter
 		res.PrimRes, res.DualRes = prim, dual
 		if prim <= epsP && dual <= epsD {
@@ -772,7 +711,6 @@ func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
 		} else if stalledChecks++; stalledChecks >= stallWindow {
 			s.a.MulVec(s.z, s.x)
 			s.rho = set.Rho
-			lastPrim, lastDual = 0, 0
 			stalledChecks = 0
 			res.Restarts++
 		}
@@ -910,79 +848,12 @@ func (s *Solver) adaptRho(prim, dual, epsP, epsD float64) {
 // 10^(k/4), k ∈ ℤ.  Adaptive moves only fire on a ≥2× residual
 // imbalance (≈ 1.2 rungs), so the ≤ 1.33× snap never suppresses a
 // genuine adaptation — but it collapses the continuum of adapted ρ
-// values onto a handful of rungs that the LDLᵀ factor cache (and the
-// CG preconditioner) can actually revisit.  Stall restarts reset to
-// the initial Settings.Rho, which re-hits the first factor's exact key
-// without being snapped itself.
+// values onto a handful of rungs that the LDLᵀ factor cache can
+// actually revisit.  Stall restarts reset to the initial Settings.Rho,
+// which re-hits the first factor's exact key without being snapped
+// itself.
 func rhoRung(rho float64) float64 {
 	return math.Pow(10, math.Round(4*math.Log10(rho))/4)
-}
-
-// cg solves (P + σI + ρAᵀA) x = b by preconditioned conjugate gradients,
-// starting from the value already in x.  The Jacobi preconditioner is
-// supplied by the backend (rebuilt only when ρ moves).  It returns the
-// iteration count.
-func (s *Solver) cg(x, b []float64, tol float64, precond []float64) int {
-	n := s.n
-	set := s.set
-	workers := par.Workers(set.Workers)
-	apply := func(dst, v []float64) {
-		// dst = P v + σ v + ρ Aᵀ(A v).  The mat-vecs are row-partitioned
-		// across workers; the Aᵀ scatter stays serial (deterministic).
-		if s.p != nil {
-			s.p.MulVecW(dst, v, workers)
-		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
-		}
-		for j := 0; j < n; j++ {
-			dst[j] += set.Sigma * v[j]
-		}
-		s.a.MulVecW(s.cgAx, v, workers)
-		Scale(s.cgAx, s.rho)
-		s.a.AddMulTVec(dst, s.cgAx)
-	}
-	r, z, p, ap := s.cgR, s.cgZ, s.cgP, s.cgAp
-	apply(ap, x)
-	for j := 0; j < n; j++ {
-		r[j] = b[j] - ap[j]
-	}
-	bnorm := InfNorm(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	if InfNorm(r) <= tol*bnorm {
-		return 0
-	}
-	for j := 0; j < n; j++ {
-		z[j] = precond[j] * r[j]
-	}
-	copy(p, z)
-	rz := DotW(r, z, workers)
-	for it := 1; it <= set.CGMaxIter; it++ {
-		apply(ap, p)
-		pap := DotW(p, ap, workers)
-		if pap <= 0 {
-			return it
-		}
-		alpha := rz / pap
-		AXPY(x, alpha, p)
-		AXPY(r, -alpha, ap)
-		if InfNorm(r) <= tol*bnorm {
-			return it
-		}
-		for j := 0; j < n; j++ {
-			z[j] = precond[j] * r[j]
-		}
-		rzNew := DotW(r, z, workers)
-		beta := rzNew / rz
-		rz = rzNew
-		for j := 0; j < n; j++ {
-			p[j] = z[j] + beta*p[j]
-		}
-	}
-	return set.CGMaxIter
 }
 
 // Solve is the one-shot convenience wrapper: build a solver, run it once.
@@ -991,5 +862,5 @@ func Solve(prob *Problem, set Settings) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Solve(), nil
+	return s.SolveCtx(context.Background())
 }

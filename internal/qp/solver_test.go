@@ -1,6 +1,7 @@
 package qp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,6 +18,42 @@ func diagCSR(d []float64) *CSR {
 }
 
 func inf() float64 { return math.Inf(1) }
+
+// mustSolve runs one SolveCtx and fails the test on an error.
+func mustSolve(t *testing.T, s *Solver) *Result {
+	t.Helper()
+	res, err := s.SolveCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSettingsValidate rejects, one field at a time, every setting the
+// ADMM iteration cannot run on.
+func TestSettingsValidate(t *testing.T) {
+	prob := &Problem{P: diagCSR([]float64{1}), Q: []float64{1}}
+	if _, err := NewSolver(prob, DefaultSettings()); err != nil {
+		t.Fatalf("default settings rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		mod  func(*Settings)
+	}{
+		{"sigma", func(s *Settings) { s.Sigma = 0 }},
+		{"rho", func(s *Settings) { s.Rho = -0.1 }},
+		{"alpha", func(s *Settings) { s.Alpha = 2 }},
+		{"max_iter", func(s *Settings) { s.MaxIter = 0 }},
+		{"check_every", func(s *Settings) { s.CheckEvery = 0 }},
+	}
+	for _, tc := range cases {
+		set := DefaultSettings()
+		tc.mod(&set)
+		if _, err := NewSolver(prob, set); err == nil {
+			t.Errorf("%s: NewSolver accepted %+v", tc.name, set)
+		}
+	}
+}
 
 func TestValidate(t *testing.T) {
 	p := &Problem{Q: []float64{1}}
@@ -312,7 +349,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1 := s.Solve()
+	res1 := mustSolve(t, s)
 	if res1.Status != Solved {
 		t.Fatalf("first solve: %v", res1.Status)
 	}
@@ -328,7 +365,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err := s.UpdateBounds(l, u); err != nil {
 		t.Fatal(err)
 	}
-	res2 := s.Solve()
+	res2 := mustSolve(t, s)
 	if res2.Status != Solved {
 		t.Fatalf("second solve: %v", res2.Status)
 	}
@@ -341,7 +378,7 @@ func TestWarmStartAndUpdateBounds(t *testing.T) {
 	if err := s.WarmStart(res2.X, res2.Y); err != nil {
 		t.Fatal(err)
 	}
-	res3 := s.Solve()
+	res3 := mustSolve(t, s)
 	if res3.Status != Solved {
 		t.Errorf("warm-started solve: %v", res3.Status)
 	}

@@ -14,9 +14,9 @@
 // Quick start:
 //
 //	d, _ := repro.Generate(repro.AES65().Scaled(0.1))
-//	out, _ := repro.RunFlow(d, repro.FlowConfig{
-//	        Opt:  repro.DefaultOptions(),
-//	        Mode: repro.ModeQCPTiming,
+//	out, _ := repro.SolveFlow(context.Background(), repro.FlowRequest{
+//	        Design: d,
+//	        Config: repro.FlowConfig{Opt: repro.DefaultOptions(), Mode: repro.ModeQCPTiming},
 //	})
 //	fmt.Printf("MCT %.0f → %.0f ps at %.1f → %.1f µW\n",
 //	        out.DM.Nominal.MCTps, out.Final.MCTps,
@@ -146,35 +146,6 @@ func SolveQCP(ctx context.Context, req QCPRequest) (*Result, error) {
 	return core.SolveQCP(ctx, req)
 }
 
-// RunQP minimizes Δleakage subject to MCT ≤ tauPs (Section III QP).
-//
-// Deprecated: use SolveQP.
-func RunQP(t *Timing, m *Model, opt Options, tauPs float64) (*Result, error) {
-	return core.SolveQP(context.Background(), QPRequest{Golden: t, Model: m, Opt: opt, TauPs: tauPs})
-}
-
-// RunQPCtx is RunQP with cancellation.
-//
-// Deprecated: use SolveQP.
-func RunQPCtx(ctx context.Context, t *Timing, m *Model, opt Options, tauPs float64) (*Result, error) {
-	return core.SolveQP(ctx, QPRequest{Golden: t, Model: m, Opt: opt, TauPs: tauPs})
-}
-
-// RunQCP minimizes the clock period subject to Δleakage ≤ opt.XiNW
-// (Section III QCP, solved by bisection over the QP).
-//
-// Deprecated: use SolveQCP.
-func RunQCP(t *Timing, m *Model, opt Options) (*Result, error) {
-	return core.SolveQCP(context.Background(), QCPRequest{Golden: t, Model: m, Opt: opt})
-}
-
-// RunQCPCtx is RunQCP with cancellation.
-//
-// Deprecated: use SolveQCP.
-func RunQCPCtx(ctx context.Context, t *Timing, m *Model, opt Options) (*Result, error) {
-	return core.SolveQCP(ctx, QCPRequest{Golden: t, Model: m, Opt: opt})
-}
-
 // RunDosePl runs the cell-swapping placement rounds on an optimized
 // dose map (Appendix, Algorithm 1).  The design's placement is mutated
 // when rounds are accepted.
@@ -195,20 +166,6 @@ func RunDosePlCtx(ctx context.Context, t *Timing, r *Result, opt Options, dopt D
 // bit-identical for every worker count.
 func SolveFlow(ctx context.Context, req FlowRequest) (*FlowOutcome, error) {
 	return core.SolveFlow(ctx, req)
-}
-
-// RunFlow executes the full Fig. 7 pipeline.
-//
-// Deprecated: use SolveFlow.
-func RunFlow(d *Design, cfg FlowConfig) (*FlowOutcome, error) {
-	return core.SolveFlow(context.Background(), FlowRequest{Design: d, Config: cfg})
-}
-
-// RunFlowCtx is RunFlow with cancellation.
-//
-// Deprecated: use SolveFlow.
-func RunFlowCtx(ctx context.Context, d *Design, cfg FlowConfig) (*FlowOutcome, error) {
-	return core.SolveFlow(ctx, FlowRequest{Design: d, Config: cfg})
 }
 
 // Harness is the experiment context that regenerates the paper's tables
