@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dosemap"
 	"repro/internal/gen"
+	"repro/internal/place"
 )
 
 // Schema identifies the request/response document layout.  Bump the
@@ -290,6 +291,27 @@ func (s JobSpec) Validate() error {
 	case "", "auto", "cg", "ldlt":
 	default:
 		return fmt.Errorf("api: unknown linear-system backend %q (want auto, cg or ldlt)", s.LinSys)
+	}
+	return s.validateTilings()
+}
+
+// validateTilings checks both pitches against the resolved preset's
+// die: a dose grid or bias tiling over place.MaxTiles cells would
+// allocate without bound when the job is prepared, so it is refused at
+// admission instead.
+func (s JobSpec) validateTilings() error {
+	p, err := s.GenPreset()
+	if err != nil {
+		return fmt.Errorf("api: %w", err)
+	}
+	n := s.Normalized()
+	if _, err := dosemap.NewGrid(p.ChipW, p.ChipH, n.GridUm); err != nil {
+		return fmt.Errorf("api: grid_um %g: %w", n.GridUm, err)
+	}
+	if n.biasOn() {
+		if _, _, err := place.Tiling(p.ChipW, p.ChipH, n.BiasGridUm); err != nil {
+			return fmt.Errorf("api: bias_grid_um %g: %w", n.BiasGridUm, err)
+		}
 	}
 	return nil
 }

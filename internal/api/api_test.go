@@ -30,6 +30,15 @@ func TestValidate(t *testing.T) {
 		{"empty dose range", func(s *JobSpec) { s.DoseLo, s.DoseHi = 3, -3 }, "dose range"},
 		{"bad linsys", func(s *JobSpec) { s.LinSys = "gpu" }, "linear-system backend"},
 		{"nameless preset", func(s *JobSpec) { s.Design = ""; s.Preset = &gen.Preset{} }, "needs a name"},
+		{"subnormal grid", func(s *JobSpec) { s.GridUm = 1e-300 }, "grid_um"},
+		{"grid over the cell limit", func(s *JobSpec) { s.Scale, s.GridUm = 0.05, 0.001 }, "grid_um"},
+		{"bias grid over the cell limit", func(s *JobSpec) { s.Actuators, s.BiasGridUm = "bias", 1e-300 }, "bias_grid_um"},
+		{"joint bias grid over the cell limit", func(s *JobSpec) { s.Actuators, s.BiasGridUm = "joint", 0.001 }, "bias_grid_um"},
+		{"inline die over the cell limit", func(s *JobSpec) {
+			p := gen.AES65()
+			p.ChipW = 1e7
+			s.Design, s.Preset = "", &p
+		}, "grid_um"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -214,7 +214,9 @@ func CompileCtx(ctx context.Context, golden *sta.Result, model *Model, co Compil
 		if model.DB == nil || model.AlphaB == nil || model.BetaB == nil {
 			return nil, fmt.Errorf("core: bias actuator enabled but model has no fitted bias coefficients")
 		}
-		c.domainOf, c.nBias = in.Pl.Regions(co.BiasGridUm)
+		if c.domainOf, c.nBias, err = in.Pl.Regions(co.BiasGridUm); err != nil {
+			return nil, fmt.Errorf("core: bias tiling: %w", err)
+		}
 		if c.nBias == 0 {
 			return nil, fmt.Errorf("core: bias tiling at %g µm produced no occupied domains", co.BiasGridUm)
 		}

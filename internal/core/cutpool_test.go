@@ -45,8 +45,8 @@ func cutPoolProblemScaled(tb testing.TB, scale float64) (*qp.Problem, float64) {
 	}
 	cs := newCutSolverCompiled(c, opt)
 	tau := 0.99 * golden.MCT
-	if _, feasible, err := cs.solveTau(context.Background(), tau, math.Inf(1)); err != nil || !feasible {
-		tb.Fatalf("cut solve: feasible=%v err=%v", feasible, err)
+	if err := solveTauGroup(context.Background(), []*cutSolver{cs}, tau, math.Inf(1)); err != nil || !cs.probeOK {
+		tb.Fatalf("cut solve: feasible=%v err=%v", cs.probeOK, err)
 	}
 	if cs.pool.size() == 0 {
 		tb.Fatal("cut solve generated no cuts; instance too easy to exercise the pool")

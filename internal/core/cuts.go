@@ -106,21 +106,34 @@ type cutSolver struct {
 
 	rounds, solves int
 
+	// Outcome of this member's latest probe (solveTauGroup): the model
+	// objective in nW (0 when the probe was infeasible), whether it met
+	// τ within the ξ budget, and whether it has finished its rounds.
+	probeObj  float64
+	probeOK   bool
+	probeDone bool
+
+	// Group scratch of the probes this cutSolver leads, reused so a solo
+	// probe allocates no bookkeeping: the live members of a round and
+	// their qp solvers.
+	groupLive    []*cutSolver
+	groupSolvers []*qp.Solver
+
 	// Tangent information of the most recent converged cut round: the
 	// probed clock period, the model objective there, and the derivative
 	// estimate dminLeak/dτ = −Σ y_i over the cut rows (each cut's upper
 	// bound is τ − nom, so the bound moves one-for-one with τ and the
 	// dual sum prices the move).  The QCP outer loop turns this into a
 	// warm-started Newton/secant step on τ; tangentOK is false until a
-	// round converges and is reset at every solveTau entry, so stale
-	// probes never feed a step.
+	// round converges and is reset at every probe entry, so stale probes
+	// never feed a step.
 	tangentTau   float64
 	tangentObj   float64
 	tangentSlope float64
 	tangentOK    bool
 
 	// rec is the telemetry recorder, refreshed from the context at each
-	// solveTau entry (ensure has no context of its own).
+	// probe entry (ensure has no context of its own).
 	rec *obs.Recorder
 
 	// arcs tabulates the golden arc delays for this run's cut rounds,
@@ -162,32 +175,38 @@ func (cs *cutSolver) newtonCandidate(xiNW float64) (float64, bool) {
 }
 
 // ensure makes the persistent solver match (tau, cuts) and warm-starts
-// it at cs.x: bound update only when just τ moved, rebuild (with dual
-// carry-over) when the cut pool grew.
+// it at cs.x: bound update only when just τ moved, in-place row append
+// (with dual carry-over) when the cut pool grew, rebuild otherwise.
 func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
-	if cs.solver != nil && len(cuts) == cs.builtCuts {
-		cs.rec.Add("core/solver_reuses", 1)
-		if tau != cs.builtTau {
-			base := len(cs.prob.U) - cs.builtCuts
-			for i, c := range cuts {
-				cs.prob.U[base+i] = tau - c.nom
-			}
-			if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
-				return err
-			}
-			cs.builtTau = tau
+	if cs.solver == nil || len(cuts) < cs.builtCuts {
+		cs.rec.Add("core/solver_rebuilds", 1)
+		cs.prob = cs.buildProblem(tau, cuts)
+		solver, err := qp.NewSolver(cs.prob, cs.opt.QP)
+		if err != nil {
+			return err
 		}
-		// Re-anchor the primal at the clamped iterate; duals persist
-		// inside the solver.
-		return cs.solver.WarmStart(cs.x, nil)
+		var y []float64
+		if len(cs.y) > 0 {
+			y = make([]float64, cs.prob.A.M)
+			copy(y, cs.y) // append-only rows: new cut rows start at zero
+		}
+		if err := solver.WarmStart(cs.x, y); err != nil {
+			return err
+		}
+		cs.solver = solver
+		cs.builtCuts = len(cuts)
+		cs.builtTau = tau
+		return nil
 	}
-	if cs.solver != nil && len(cuts) > cs.builtCuts {
+	if len(cuts) == cs.builtCuts {
+		cs.rec.Add("core/solver_reuses", 1)
+	} else {
 		// Append-only growth: cut rows sit after the fixed box/smoothness
 		// prefix, so new cuts extend the live solver in place — the
 		// factorized/preconditioned state for the old rows survives and
 		// only the appended rows cost symbolic work.  Duals persist inside
 		// the solver with zeros on the new rows, exactly the zero-padded
-		// carry-over the rebuild path used to reconstruct.
+		// carry-over a rebuild reconstructs.
 		cs.rec.Add("core/solver_row_appends", 1)
 		newCuts := cuts[cs.builtCuts:]
 		inf := math.Inf(1)
@@ -208,36 +227,20 @@ func (cs *cutSolver) ensure(tau float64, cuts []cut) error {
 		cs.prob.L = append(cs.prob.L, l...)
 		cs.prob.U = append(cs.prob.U, u...)
 		cs.builtCuts = len(cuts)
-		if tau != cs.builtTau {
-			base := len(cs.prob.U) - cs.builtCuts
-			for i, c := range cuts {
-				cs.prob.U[base+i] = tau - c.nom
-			}
-			if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
-				return err
-			}
-			cs.builtTau = tau
+	}
+	if tau != cs.builtTau {
+		base := len(cs.prob.U) - cs.builtCuts
+		for i, c := range cuts {
+			cs.prob.U[base+i] = tau - c.nom
 		}
-		return cs.solver.WarmStart(cs.x, nil)
+		if err := cs.solver.UpdateBounds(cs.prob.L, cs.prob.U); err != nil {
+			return err
+		}
+		cs.builtTau = tau
 	}
-	cs.rec.Add("core/solver_rebuilds", 1)
-	cs.prob = cs.buildProblem(tau, cuts)
-	solver, err := qp.NewSolver(cs.prob, cs.opt.QP)
-	if err != nil {
-		return err
-	}
-	var y []float64
-	if len(cs.y) > 0 {
-		y = make([]float64, cs.prob.A.M)
-		copy(y, cs.y) // append-only rows: new cut rows start at zero
-	}
-	if err := solver.WarmStart(cs.x, y); err != nil {
-		return err
-	}
-	cs.solver = solver
-	cs.builtCuts = len(cuts)
-	cs.builtTau = tau
-	return nil
+	// Re-anchor the primal at the clamped iterate; duals persist inside
+	// the solver.
+	return cs.solver.WarmStart(cs.x, nil)
 }
 
 // saveDuals records the duals of a converged solve for the next round's
@@ -424,118 +427,184 @@ func (cs *cutSolver) buildProblem(tau float64, cuts []cut) *qp.Problem {
 	return &qp.Problem{P: ptr.Compile(), Q: cs.q, A: a, L: l, U: u}
 }
 
-// solveTau minimizes Δleakage subject to MCT ≤ tau by cut generation,
-// abandoning the probe as soon as the objective provably exceeds xiNW
-// (cuts only shrink the feasible set, so the round objectives are
-// non-decreasing — once above the budget the probe can never recover).
-// Pass +Inf for a plain QP solve.  It returns the model objective in nW;
-// feasible is false when the probe is infeasible or over budget.  A
+// solveTauGroup runs one cutting-plane probe — minimize Δleakage
+// subject to MCT ≤ tau — for every member of a group in lockstep
+// rounds against the members' shared cut pool.  A solo QP or QCP probe
+// is a group of one; the wafer passes a column group.  All members must
+// borrow the same base compilation (identical golden, order, objective
+// structure) and share one cutPool; only bounds and linear terms may
+// differ.  Each member's outcome lands in its probeObj and probeOK.  A
 // canceled context aborts between cut rounds with an error wrapping
 // context.Canceled.
-func (cs *cutSolver) solveTau(ctx context.Context, tau, xiNW float64) (obj float64, feasible bool, err error) {
-	cs.rec = obs.From(ctx)
-	cs.tangentOK = false // only a converged round of THIS probe may feed a Newton step
-	c := cs.comp
-	opt := cs.opt
-	tolPs := opt.CutTolPs
-	if tolPs <= 0 {
-		tolPs = 2e-4 * c.Golden.MCT
+//
+// The timing model is linear in dose, so a tangent (path) cut derived
+// at ANY member's iterate is globally valid: its coefficients come from
+// the shared sensitivity model and its nominal term is the
+// dose-independent path delay.  Syncing every member to the same pool
+// snapshot at the top of each round keeps their constraint matrices
+// bitwise identical, which is what qp.SolveBatchCtx validates before
+// collapsing the round's QP solves into one lockstep batch whose
+// x-steps are multi-RHS triangular solves against one shared factor.
+//
+// A member finishes when its linear-model clock period reaches τ — later
+// rounds (driven by its slower siblings) no longer move its iterate,
+// which is sound because convergence is verified on the full arrival
+// propagation, not on the cut subset — or when its objective provably
+// exceeds the budget xiNW (cuts only shrink the feasible set, so round
+// objectives are non-decreasing: once above the budget the probe can
+// never recover).  Pass +Inf for no budget; xiToleranceLeak(+Inf) is
+// +Inf, so no objective exceeds it.  When any member's persistent solver
+// must be rebuilt (infeasibility certificate or stall retry), every
+// member's solver is reset with it: a lone rebuild would re-equilibrate
+// against a different row count than its siblings and break the
+// shared-factor validation for the rest of the run.
+func solveTauGroup(ctx context.Context, css []*cutSolver, tau, xiNW float64) error {
+	rec := obs.From(ctx)
+	for _, cs := range css {
+		cs.rec = rec
+		cs.tangentOK = false // only a converged round of THIS probe may feed a Newton step
+		cs.probeObj, cs.probeOK, cs.probeDone = 0, false, false
 	}
-	maxRounds := opt.CutRounds
-	if maxRounds <= 0 {
-		maxRounds = 60
-	}
-	perRound := opt.CutsPerRound
-	if perRound <= 0 {
-		perRound = 64
-	}
-	for round := 0; round < maxRounds; round++ {
+	lead := css[0]
+	pool := lead.pool
+	c := lead.comp
+	tolPs := cutTolRel * c.Golden.MCT
+	xiCap := xiNW + xiToleranceLeak(c.nomLeakUW, xiNW)
+
+	for round := 0; round < cutRounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return 0, false, fmt.Errorf("core: cut probe canceled at round %d: %w", round, err)
+			return fmt.Errorf("core: cut probe canceled at round %d: %w", round, err)
 		}
-		cs.rounds++
-		cs.rec.Add("core/cut_rounds", 1)
-		if err := cs.ensure(tau, cs.pool.snapshot()); err != nil {
-			return 0, false, err
+		live := lead.groupLive[:0]
+		for _, cs := range css {
+			if !cs.probeDone {
+				live = append(live, cs)
+			}
 		}
-		res, err := cs.solver.SolveCtx(ctx)
-		cs.solves++
+		lead.groupLive = live
+		// One snapshot per round: every live member syncs to the same
+		// cut rows in the same order, keeping their matrices bitwise
+		// identical for the batch validation.
+		snap := pool.snapshot()
+		solvers := lead.groupSolvers[:0]
+		for _, cs := range live {
+			cs.rounds++
+			rec.Add("core/cut_rounds", 1)
+			if err := cs.ensure(tau, snap); err != nil {
+				return err
+			}
+			solvers = append(solvers, cs.solver)
+		}
+		lead.groupSolvers = solvers
+		results, err := qp.SolveBatchCtx(ctx, solvers)
 		if err != nil {
-			return 0, false, err
+			return err
 		}
-		if res.Status == qp.PrimalInfeasible {
-			cs.resetSolver() // certificate duals would poison warm starts
-			return 0, false, nil
-		}
-		if res.Status != qp.Solved && cs.solver.MaxViolation(res.X) > 0.2 {
-			// Still stalled after the in-solver restarts: retry the round
-			// once on a completely fresh solver (new equilibration and
-			// ADMM state) warm-started at the stalled iterate, under the
-			// same iteration budget.  Genuinely infeasible probes fail
-			// both attempts and are cut off here rather than after a
-			// multiple of the budget.
-			solver, err := qp.NewSolver(cs.prob, opt.QP)
-			if err != nil {
-				return 0, false, err
-			}
-			if err := solver.WarmStart(res.X, res.Y); err != nil {
-				return 0, false, err
-			}
-			res, err = solver.SolveCtx(ctx)
+		resetAny := false
+		for k, cs := range live {
+			res := results[k]
 			cs.solves++
-			if err != nil {
-				return 0, false, err
-			}
-			viol := solver.MaxViolation(res.X)
-			cs.resetSolver()
 			if res.Status == qp.PrimalInfeasible {
-				return 0, false, nil
+				cs.resetSolver() // certificate duals would poison warm starts
+				resetAny = true
+				cs.probeObj, cs.probeDone = 0, true
+				continue
 			}
-			if res.Status != qp.Solved && viol > 0.5 {
-				return 0, false, fmt.Errorf("core: cut QP did not converge (τ=%.1f, round %d, viol %.3g)",
-					tau, round, viol)
+			if res.Status != qp.Solved && cs.solver.MaxViolation(res.X) > 0.2 {
+				// Still stalled after the in-solver restarts: retry the
+				// round once, solo, on a completely fresh solver (new
+				// equilibration and ADMM state) warm-started at the
+				// stalled iterate, under the same iteration budget.
+				// Genuinely infeasible probes fail both attempts and are
+				// cut off here rather than after a multiple of the budget.
+				solver, err := qp.NewSolver(cs.prob, cs.opt.QP)
+				if err != nil {
+					return err
+				}
+				if err := solver.WarmStart(res.X, res.Y); err != nil {
+					return err
+				}
+				res, err = solver.SolveCtx(ctx)
+				cs.solves++
+				if err != nil {
+					return err
+				}
+				viol := solver.MaxViolation(res.X)
+				cs.resetSolver()
+				resetAny = true
+				if res.Status == qp.PrimalInfeasible {
+					cs.probeObj, cs.probeDone = 0, true
+					continue
+				}
+				if res.Status != qp.Solved && viol > 0.5 {
+					return fmt.Errorf("core: cut QP did not converge (τ=%.1f, round %d, viol %.3g)",
+						tau, round, viol)
+				}
 			}
-			// Residual violations below half a percent of dose (or half
-			// a picosecond on a cut) are absorbed by map legalization
-			// and re-measured by golden signoff.
-		}
-		cs.saveDuals(res.Y)
-		copy(cs.x, res.X)
-		cs.clampVars()
-		o := cs.objective(cs.x)
-		cs.recordTangent(tau, o, res.Y)
-		if o > xiNW+xiToleranceLeak(c.nomLeakUW, xiNW) {
-			return o, false, nil
-		}
-		delta := cs.deltaFn(cs.x)
-		_, mct := linearArrivalsOrder(c.Golden, c.order, cs.arcTab(), delta)
-		if mct <= tau+tolPs {
-			return o, true, nil
-		}
-		// Generate violated path cuts.
-		added := 0
-		for _, p := range cs.topPaths(delta, perRound) {
-			if p.Delay <= tau+tolPs/2 {
-				break // paths arrive in non-increasing delay order
+			if res.Status != qp.Solved {
+				// Residual violations below half a percent of dose (or
+				// half a picosecond on a cut) are absorbed by map
+				// legalization and re-measured by golden signoff; count
+				// the round so the acceptance is not silent.
+				rec.Add("core/unconverged_accepted", 1)
 			}
-			if cs.pool.add(cs.makeCut(p, cs.x)) {
-				added++
+			cs.saveDuals(res.Y)
+			copy(cs.x, res.X)
+			cs.clampVars()
+			o := cs.objective(cs.x)
+			cs.probeObj = o
+			cs.recordTangent(tau, o, res.Y)
+			if o > xiCap {
+				cs.probeDone = true
+				continue
+			}
+			delta := cs.deltaFn(cs.x)
+			_, mct := linearArrivalsOrder(c.Golden, c.order, cs.arcTab(), delta)
+			if mct <= tau+tolPs {
+				cs.probeOK, cs.probeDone = true, true
+				continue
+			}
+			// Violated path cuts from this member's iterate, appended in
+			// member order so the shared pool grows deterministically.
+			added := 0
+			for _, p := range cs.topPaths(delta, cutsPerRound) {
+				if p.Delay <= tau+tolPs/2 {
+					break // paths arrive in non-increasing delay order
+				}
+				if pool.add(cs.makeCut(p, cs.x)) {
+					added++
+				}
+			}
+			rec.Add("core/cuts_added", int64(added))
+			rec.Set("core/cut_pool_size", float64(pool.size()))
+			if added == 0 {
+				// Every violating path is already pooled yet the QP
+				// solution still violates.  When the pool grew past the
+				// snapshot this member solved against (a sibling added the
+				// cuts this very round), that is no stall — the next round
+				// re-solves against them.  Only a member that saw the full
+				// pool and still cannot progress is stalled; accept if the
+				// miss is within the solver tolerance floor.
+				if mct <= tau+5*tolPs {
+					cs.probeOK, cs.probeDone = true, true
+					continue
+				}
+				if pool.size() > len(snap) {
+					continue
+				}
+				return fmt.Errorf("core: cut generation stalled at τ=%.1f (mct %.1f)", tau, mct)
 			}
 		}
-		cs.rec.Add("core/cuts_added", int64(added))
-		if cs.rec != nil {
-			cs.rec.Set("core/cut_pool_size", float64(cs.pool.size()))
-		}
-		if added == 0 {
-			// All violating paths already cut but the QP solution still
-			// violates: solver tolerance floor.  Accept if close.
-			if mct <= tau+5*tolPs {
-				return o, true, nil
+		if resetAny {
+			for _, cs := range css {
+				cs.resetSolver()
 			}
-			return 0, false, fmt.Errorf("core: cut generation stalled at τ=%.1f (mct %.1f)", tau, mct)
+		}
+		if !slices.ContainsFunc(css, func(cs *cutSolver) bool { return !cs.probeDone }) {
+			return nil
 		}
 	}
-	return 0, false, errors.New("core: cut generation exceeded round budget")
+	return errors.New("core: cut generation exceeded round budget")
 }
 
 // objective evaluates the model Δleakage of dose vector x in nW.

@@ -37,9 +37,6 @@ type Options struct {
 	// wafer (Section II-B: "multiple copies of the dose map solution
 	// are tiled horizontally and vertically").
 	Tiled bool
-	// BisectTol is the relative clock-period tolerance of the QCP
-	// bisection.
-	BisectTol float64
 	// SeedTau warm-brackets the QCP bisection: a clock period (ps) that a
 	// related run — the previous table row or sweep point — found
 	// feasible.  When it falls inside the fresh [lo, hi] interval the
@@ -47,13 +44,6 @@ type Options struct {
 	// halving from scratch; a stale seed costs at most two probes and
 	// still narrows the interval.  Zero disables the hint.
 	SeedTau float64
-	// MaxProbes bounds the QCP bisection length.
-	MaxProbes int
-	// CutRounds, CutsPerRound and CutTolPs tune the cutting-plane engine
-	// (zero values select sensible defaults).
-	CutRounds    int
-	CutsPerRound int
-	CutTolPs     float64
 	// QP tunes the inner solver.
 	QP qp.Settings
 	// STA sets golden-analysis boundary conditions.
@@ -110,6 +100,22 @@ func (o Options) normalized() Options {
 	return o
 }
 
+// Fixed budgets and tolerances of the cutting-plane engine and the QCP
+// bisection.
+const (
+	// bisectTol is the relative clock-period tolerance of the QCP
+	// bisection, and maxProbes bounds its length.
+	bisectTol = 1e-3
+	maxProbes = 24
+	// cutRounds bounds the cut rounds of one probe, cutsPerRound the
+	// path cuts one member separates per round, and cutTolRel is the
+	// linear-model clock-period acceptance tolerance relative to the
+	// nominal MCT.
+	cutRounds    = 60
+	cutsPerRound = 64
+	cutTolRel    = 2e-4
+)
+
 // Default body-bias box in V: reverse bias down to -0.2 V (leakage
 // recovery) and forward bias up to +0.1 V (timing rescue), the range
 // over which the quadratic leakage fit tracks the exponential device
@@ -130,16 +136,14 @@ func DefaultOptions() Options {
 	set.MaxIter = 1500
 	set.EpsAbs, set.EpsRel = 3e-4, 3e-4
 	return Options{
-		G:         5,
-		Delta:     2,
-		DoseLo:    -5,
-		DoseHi:    5,
-		XiNW:      0,
-		Snap:      true,
-		BisectTol: 1e-3,
-		MaxProbes: 24,
-		QP:        set,
-		STA:       sta.DefaultConfig(),
+		G:      5,
+		Delta:  2,
+		DoseLo: -5,
+		DoseHi: 5,
+		XiNW:   0,
+		Snap:   true,
+		QP:     set,
+		STA:    sta.DefaultConfig(),
 	}
 }
 

@@ -91,16 +91,16 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// rather than aborting the whole bisection, but cancellation
 	// propagates.  Feasible evaluations feed the secant state.
 	probe := func(tau float64) (bool, error) {
-		obj, feasible, err := cs.solveTau(ctx, tau, opt.XiNW)
+		err := solveTauGroup(ctx, []*cutSolver{cs}, tau, opt.XiNW)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return false, err
 			}
 			return false, nil
 		}
-		ok := feasible && obj <= opt.XiNW+xiTol
+		ok := cs.probeOK && cs.probeObj <= opt.XiNW+xiTol
 		if ok {
-			feasPrev, feasLast = feasLast, tauEval{tau, obj}
+			feasPrev, feasLast = feasLast, tauEval{tau, cs.probeObj}
 		}
 		return ok, nil
 	}
@@ -137,8 +137,8 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// probes landing as predicted collapses the interval to the stop
 	// width — the log₂ bisection never runs; a moved frontier degrades
 	// to ordinary bisection on a one-sided narrowed interval.
-	if seed := opt.SeedTau; seed > lo && seed < hi && probes < opt.MaxProbes {
-		guard := 0.5 * opt.BisectTol * golden.MCT
+	if seed := opt.SeedTau; seed > lo && seed < hi && probes < maxProbes {
+		guard := 0.5 * bisectTol * golden.MCT
 		up := math.Min(seed+guard, hi)
 		ok, err := probe(up)
 		probes++
@@ -149,8 +149,8 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 			hi = up
 			bestX = append(bestX[:0], cs.x...)
 			obs.Add(ctx, "core/bisect_bracket_hits", 1)
-			if down := seed - guard; down > lo && probes < opt.MaxProbes &&
-				(hi-lo) > opt.BisectTol*golden.MCT {
+			if down := seed - guard; down > lo && probes < maxProbes &&
+				(hi-lo) > bisectTol*golden.MCT {
 				ok, err = probe(down)
 				probes++
 				if err != nil {
@@ -181,10 +181,10 @@ func qcpByCuts(ctx context.Context, c *Compiled, opt Options, tLo, tHi float64, 
 	// bracket (stale tangent, flat slope, inexact duals) falls back to
 	// plain bisection — which also bounds the worst case, since every
 	// accepted probe shrinks the bracket by ≥ 5%.
-	guard := 0.5 * opt.BisectTol * golden.MCT
+	guard := 0.5 * bisectTol * golden.MCT
 	newtonSteps, bisectFallbacks := 0, 0
 	floorTried := false
-	for probes < opt.MaxProbes && (hi-lo) > opt.BisectTol*golden.MCT {
+	for probes < maxProbes && (hi-lo) > bisectTol*golden.MCT {
 		t, candLo, newton := 0.0, 0.0, false
 		inBand := func(tn float64) bool {
 			w := hi - lo

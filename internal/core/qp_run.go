@@ -69,11 +69,10 @@ func SolveQP(ctx context.Context, req QPRequest) (*Result, error) {
 		obs.Add(ctx, "core/joint_solves", 1)
 	}
 	cs := newCutSolverCompiled(c, opt)
-	_, feasible, err := cs.solveTau(ctx, tau, math.Inf(1))
-	if err != nil {
+	if err := solveTauGroup(ctx, []*cutSolver{cs}, tau, math.Inf(1)); err != nil {
 		return nil, err
 	}
-	if !feasible {
+	if !cs.probeOK {
 		return nil, fmt.Errorf("core: QP infeasible at τ = %.1f ps", tau)
 	}
 	r, err := cs.result(ctx, 1)

@@ -373,12 +373,11 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 				return nil, err
 			}
 		}
-		_, feas, err := solveTauGroup(ctx, css, tau)
-		if err != nil {
+		if err := solveTauGroup(ctx, css, tau, math.Inf(1)); err != nil {
 			return nil, err
 		}
-		for i, m := range members {
-			if !feas[i] {
+		for _, m := range members {
+			if !m.cs.probeOK {
 				return nil, fmt.Errorf("core: wafer field (bias %.2f nm) infeasible at τ̄ = %.1f ps", m.bias, tau)
 			}
 			slitDeviation(m.cs.x[:nG], grid, m.e)
@@ -428,12 +427,11 @@ func solveWaferGroup(ctx context.Context, base *Compiled, opt Options, gr waferG
 		}
 		cs.resetSolver() // the penalty diagonal changed: rebuild once
 	}
-	_, feas, err := solveTauGroup(ctx, css, tau)
-	if err != nil {
+	if err := solveTauGroup(ctx, css, tau, math.Inf(1)); err != nil {
 		return nil, err
 	}
-	for i, m := range members {
-		if !feas[i] {
+	for _, m := range members {
+		if !m.cs.probeOK {
 			return nil, fmt.Errorf("core: wafer polish (bias %.2f nm) infeasible at τ̄ = %.1f ps", m.bias, tau)
 		}
 	}

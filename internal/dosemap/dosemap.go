@@ -29,16 +29,17 @@ type Grid struct {
 }
 
 // NewGrid partitions a W×H field with granularity parameter G (the
-// user-specified upper bound on grid width and height).
+// user-specified upper bound on grid width and height).  A G so fine
+// that the grid would exceed place.MaxTiles cells is an error.
 func NewGrid(w, h, g float64) (Grid, error) {
 	if w <= 0 || h <= 0 || g <= 0 {
 		return Grid{}, fmt.Errorf("dosemap: bad grid spec %gx%g / %g", w, h, g)
 	}
-	return Grid{
-		G: g, W: w, H: h,
-		N: int(math.Ceil(w / g)),
-		M: int(math.Ceil(h / g)),
-	}, nil
+	m, n, err := place.Tiling(w, h, g)
+	if err != nil {
+		return Grid{}, fmt.Errorf("dosemap: %w", err)
+	}
+	return Grid{G: g, W: w, H: h, N: n, M: m}, nil
 }
 
 // Cells returns the number of grid cells M·N.

@@ -36,6 +36,27 @@ func TestNewGrid(t *testing.T) {
 	}
 }
 
+// TestNewGridRejectsTooFine: a pitch whose grid would exceed
+// place.MaxTiles cells — or whose cell count is not even finite — is an
+// error, while the finest paper grid (JPEG-90 at G = 5) still builds.
+func TestNewGridRejectsTooFine(t *testing.T) {
+	if g := mustGrid(t, 1044, 1044, 5); g.M != 209 || g.N != 209 {
+		t.Errorf("JPEG-90 grid = %dx%d, want 209x209", g.M, g.N)
+	}
+	side := 241 * math.Sqrt(0.05) // AES-65 die at scale 0.05
+	for _, g := range []float64{0.001, 1e-300, math.SmallestNonzeroFloat64} {
+		if gr, err := NewGrid(side, side, g); err == nil {
+			t.Errorf("G = %g accepted as a %dx%d grid", g, gr.M, gr.N)
+		}
+	}
+	if _, err := NewGrid(1024, 1024, 1); err != nil {
+		t.Errorf("a 2^20-cell grid is at the limit, not over it: %v", err)
+	}
+	if _, err := NewGrid(1025, 1024, 1); err == nil {
+		t.Error("a grid one column over the limit was accepted")
+	}
+}
+
 func TestGridIndexAndCenter(t *testing.T) {
 	g := mustGrid(t, 100, 50, 10)
 	// 10 columns, 5 rows.

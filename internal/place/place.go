@@ -288,31 +288,49 @@ func (p *Placement) OverlapCount() int {
 	return count
 }
 
+// MaxTiles bounds the cell count of a square tiling of the die — the
+// dose-map grid and the bias-domain tiling alike.  2²⁰ cells is 24× the
+// finest grid of the paper (209×209 for JPEG-90 at G = 5 µm); a finer
+// pitch would allocate without bound long before any solve ran.
+const MaxTiles = 1 << 20
+
+// Tiling returns the row and column counts (each at least 1) of a
+// square tiling of a w×h µm die at the given pitch.  It rejects a
+// pitch whose tiling has a non-finite cell count or more than MaxTiles
+// cells.
+func Tiling(w, h, pitch float64) (rows, cols int, err error) {
+	fr, fc := math.Ceil(h/pitch), math.Ceil(w/pitch)
+	if !(fr*fc <= MaxTiles) { // also rejects NaN and ±Inf
+		return 0, 0, fmt.Errorf("place: a %g×%g µm die at pitch %g µm needs %g×%g tiles, over the %d limit",
+			w, h, pitch, fr, fc, MaxTiles)
+	}
+	return max(1, int(fr)), max(1, int(fc)), nil
+}
+
 // Regions partitions the placed cells into rectangular bias domains: a
 // square tiling of the die with the given pitch in µm, compacted to the
 // occupied tiles.  It returns a per-gate domain index (−1 for ports and
-// unplaced rows) and the number of occupied domains.  Domains are
-// numbered by row-major tile order, so the assignment is a pure function
-// of coordinates — deterministic across worker counts and runs.  This is
-// the placement-side substrate of body-bias co-optimization: all cells
-// sharing a well tile share one bias voltage.
-func (p *Placement) Regions(pitch float64) (regionOf []int, n int) {
+// unplaced rows) and the number of occupied domains; a pitch of zero or
+// below yields no domains, and a pitch finer than Tiling allows is an
+// error.  Domains are numbered by row-major tile order, so the
+// assignment is a pure function of coordinates — deterministic across
+// worker counts and runs.  This is the placement-side substrate of
+// body-bias co-optimization: all cells sharing a well tile share one
+// bias voltage.
+func (p *Placement) Regions(pitch float64) (regionOf []int, n int, err error) {
 	nGates := len(p.Circ.Gates)
-	regionOf = make([]int, nGates)
 	if pitch <= 0 {
+		regionOf = make([]int, nGates)
 		for id := range regionOf {
 			regionOf[id] = -1
 		}
-		return regionOf, 0
+		return regionOf, 0, nil
 	}
-	cols := int(math.Ceil(p.ChipW / pitch))
-	if cols < 1 {
-		cols = 1
+	rows, cols, err := Tiling(p.ChipW, p.ChipH, pitch)
+	if err != nil {
+		return nil, 0, err
 	}
-	rows := int(math.Ceil(p.ChipH / pitch))
-	if rows < 1 {
-		rows = 1
-	}
+	regionOf = make([]int, nGates)
 	tileOf := make([]int, nGates)
 	occupied := make([]bool, rows*cols)
 	for id, g := range p.Circ.Gates {
@@ -350,5 +368,5 @@ func (p *Placement) Regions(pitch float64) (regionOf []int, n int) {
 			regionOf[id] = compact[t]
 		}
 	}
-	return regionOf, n
+	return regionOf, n, nil
 }

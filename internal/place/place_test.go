@@ -302,3 +302,33 @@ func TestPropertyLegalizeNoOverlap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRegionsRejectsTooFine: the bias-domain tiling shares the dose
+// grid's MaxTiles bound, so a pitch that would allocate without bound
+// is an error instead; a normal pitch still tiles, and a non-positive
+// pitch still means "no domains".
+func TestRegionsRejectsTooFine(t *testing.T) {
+	c := smallCircuit(t)
+	p := New(c, 20, 10, 1)
+	for id := range c.Gates {
+		p.X[id], p.Y[id] = float64(4*id), 2
+	}
+	for _, pitch := range []float64{1e-300, 1e-5, math.SmallestNonzeroFloat64} {
+		if _, _, err := p.Regions(pitch); err == nil {
+			t.Errorf("pitch %g accepted", pitch)
+		}
+	}
+	regionOf, n, err := p.Regions(8)
+	if err != nil || n != 2 {
+		t.Fatalf("pitch 8: %d domains, err %v; want 2", n, err)
+	}
+	if regionOf[0] != -1 || regionOf[len(regionOf)-1] != -1 {
+		t.Errorf("ports got domains: %v", regionOf)
+	}
+	if _, n, err := p.Regions(0); err != nil || n != 0 {
+		t.Errorf("pitch 0: %d domains, err %v", n, err)
+	}
+	if rows, cols, err := Tiling(1024, 1024, 1); err != nil || rows*cols != MaxTiles {
+		t.Errorf("Tiling at the limit: %dx%d, err %v", rows, cols, err)
+	}
+}

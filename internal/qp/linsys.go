@@ -10,12 +10,12 @@
 // errNotPositiveDefinite.
 package qp
 
-// defaultFactorCache is the ρ-ladder factor-cache capacity when
-// Settings.FactorCache is zero.  Ten slots cover the working set the
-// adaptive-ρ trajectory actually revisits: the initial rung, the
-// settled rung, and the handful of rungs the eager adapter walks
-// through on the way (plus stall-restart returns to the initial rung).
-const defaultFactorCache = 10
+// factorCacheCap is the ρ-ladder factor-cache capacity.  Ten slots
+// cover the working set the adaptive-ρ trajectory actually revisits:
+// the initial rung, the settled rung, and the handful of rungs the
+// eager adapter walks through on the way (plus stall-restart returns to
+// the initial rung).
+const factorCacheCap = 10
 
 // factorSnap is one cached numeric factor: the (panel storage, d) pair
 // of a finished factorization, keyed by the exact ρ it was computed
@@ -32,7 +32,7 @@ type factorSnap struct {
 
 // ldltBackend caches one live sparse factor of K plus a small LRU of
 // numeric snapshots keyed by (ρ, pattern epoch).  ADMM ρ-adaptation
-// quantizes onto the ρ-ladder (see Solver.adaptRho), so stall restarts
+// quantizes onto the ρ-ladder (see rhoRung), so stall restarts
 // and ρ flips revisit previously factored rungs and restore the cached
 // (lx, d) instead of re-running the numeric phase.  Appending rows
 // bumps the epoch and flushes the cache — a snapshot never outlives
@@ -44,7 +44,6 @@ type ldltBackend struct {
 	factored bool
 	epoch    int
 	cache    []*factorSnap
-	cacheCap int
 	useSeq   int64
 	// Snapshots are stored and restored by pointer swap, never by copy:
 	// aliased is the cache entry whose buffers the live factor currently
@@ -68,14 +67,7 @@ type ldltBackend struct {
 }
 
 func newLDLTBackend(s *Solver, f *ldltFactor) *ldltBackend {
-	capacity := s.set.FactorCache
-	if capacity == 0 {
-		capacity = defaultFactorCache
-	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &ldltBackend{s: s, f: f, cacheCap: capacity, built: make(map[float64]bool)}
+	return &ldltBackend{s: s, f: f, built: make(map[float64]bool)}
 }
 
 // lookup returns the cached snapshot for ρ in the current pattern
@@ -95,10 +87,7 @@ func (b *ldltBackend) lookup(rho float64) *factorSnap {
 // buffers (zero copies), evicting the least-recently used entry at
 // capacity and recycling the evicted buffers.
 func (b *ldltBackend) store(rho float64) {
-	if b.cacheCap <= 0 {
-		return
-	}
-	if len(b.cache) >= b.cacheCap {
+	if len(b.cache) >= factorCacheCap {
 		lru := 0
 		for i, snap := range b.cache {
 			if snap.use < b.cache[lru].use {
@@ -165,23 +154,12 @@ func (b *ldltBackend) ensureFactored() error {
 	return nil
 }
 
-// solve overwrites x with K⁻¹b for the current ρ.
-func (b *ldltBackend) solve(x, bvec []float64) error {
-	if err := b.ensureFactored(); err != nil {
-		return err
-	}
-	s := b.s
-	b.f.SolveW(x, bvec, s.set.Workers)
-	s.nTriSolve++
-	s.nDenseFlops += b.f.denseSolveFlops
-	return nil
-}
-
-// solveBatch solves K x[q] = b[q] for every right-hand side against one
-// factorization pass, streaming the factor through cache once per
-// supernode for the whole block.  Each x[q] is bitwise identical to a
-// solo solve(x[q], b[q]) call.
-func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
+// solve overwrites every x[q] with K⁻¹b[q] for the current ρ, against
+// one pass over the factor (see SolveBatchW; a single right-hand side
+// takes the SolveW sweep).  batch marks the x-step of a lockstep family
+// of two or more members, which the qp/solve_batches and qp/solve_rhs
+// telemetry counts even once all but one member have frozen.
+func (b *ldltBackend) solve(xs, bs [][]float64, batch bool) error {
 	if err := b.ensureFactored(); err != nil {
 		return err
 	}
@@ -190,8 +168,10 @@ func (b *ldltBackend) solveBatch(xs, bs [][]float64) error {
 	nrhs := int64(len(xs))
 	s.nTriSolve += nrhs
 	s.nDenseFlops += nrhs * b.f.denseSolveFlops
-	s.nSolveBatch++
-	s.nSolveRHS += nrhs
+	if batch {
+		s.nSolveBatch++
+		s.nSolveRHS += nrhs
+	}
 	return nil
 }
 

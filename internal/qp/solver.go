@@ -112,16 +112,13 @@ func (p *Problem) MaxViolation(x []float64) float64 {
 // Settings tunes the ADMM solver.  The zero value is not usable; start
 // from DefaultSettings.
 type Settings struct {
-	MaxIter     int
-	EpsAbs      float64
-	EpsRel      float64
-	Rho         float64 // initial ADMM step size
-	Sigma       float64 // x-regularization
-	Alpha       float64 // over-relaxation in (0, 2)
-	AdaptiveRho bool
-	CheckEvery  int // residual/infeasibility check interval
-	ScaleIters  int // Ruiz equilibration iterations (0 disables scaling)
-	EpsInfeas   float64
+	MaxIter    int
+	EpsAbs     float64
+	EpsRel     float64
+	Rho        float64 // initial ADMM step size
+	Sigma      float64 // x-regularization
+	Alpha      float64 // over-relaxation in (0, 2)
+	CheckEvery int     // residual/infeasibility check interval
 	// Workers bounds the fan-out of the CSR mat-vec kernel and of the
 	// LDLᵀ numeric factorization and triangular solves (elimination-tree
 	// level sets).  Zero selects runtime.GOMAXPROCS(0).  The mat-vec
@@ -129,27 +126,26 @@ type Settings struct {
 	// accumulation order, so the solve trajectory is bit-identical for
 	// every worker count.
 	Workers int
-	// FactorCache sizes the LDLᵀ ρ-ladder factor cache: an LRU of
-	// numeric factors keyed by (ρ, pattern epoch) that turns adaptive-ρ
-	// flips and stall restarts into snapshot restores instead of
-	// refactorizations.  Zero selects the default capacity
-	// (defaultFactorCache); a negative value disables caching.
-	FactorCache int
 }
+
+// Fixed ADMM parameters: Ruiz equilibration passes and the relative
+// tolerance of the primal-infeasibility certificate.  ρ always adapts
+// (see the family loop in SolveCtx).
+const (
+	scaleIters = 10
+	epsInfeas  = 1e-5
+)
 
 // DefaultSettings returns the settings used across the flow.
 func DefaultSettings() Settings {
 	return Settings{
-		MaxIter:     20000,
-		EpsAbs:      1e-4,
-		EpsRel:      1e-4,
-		Rho:         0.1,
-		Sigma:       1e-6,
-		Alpha:       1.6,
-		AdaptiveRho: true,
-		CheckEvery:  25,
-		ScaleIters:  10,
-		EpsInfeas:   1e-5,
+		MaxIter:    20000,
+		EpsAbs:     1e-4,
+		EpsRel:     1e-4,
+		Rho:        0.1,
+		Sigma:      1e-6,
+		Alpha:      1.6,
+		CheckEvery: 25,
 	}
 }
 
@@ -229,6 +225,23 @@ type Solver struct {
 	solves int
 	warmed bool
 
+	// Loop state of this solver as a member of the family being solved
+	// (a solo SolveCtx is a family of one): the counter snapshot and
+	// warm-start class taken at entry, and the stall detector.
+	c0            ctrSnap
+	warm          bool
+	bestScore     float64
+	stalledChecks int
+
+	// Scratch of the family this solver leads, reused across solves: the
+	// live member indices and the x-step's solution/right-hand-side
+	// blocks.  They start on the one-slot arrays below, so the
+	// bookkeeping of a solo solve allocates nothing.
+	live         []int
+	xs, bs       [][]float64
+	liveBuf      [1]int
+	xsBuf, bsBuf [1][]float64
+
 	orig *Problem
 }
 
@@ -302,6 +315,7 @@ func NewSolver(prob *Problem, set Settings) (*Solver, error) {
 	s.dyAcc = make([]float64, m)
 	s.objPx = make([]float64, n)
 	s.vioAx = make([]float64, m)
+	s.live, s.xs, s.bs = s.liveBuf[:0], s.xsBuf[:0], s.bsBuf[:0]
 	s.initLinsys()
 	return s, nil
 }
@@ -412,11 +426,8 @@ func (s *Solver) AppendRows(a *CSR, l, u []float64) error {
 // the OSQP paper.  Badly mixed scales — dose percentages (≈ ±5) against
 // arrival times (≈ thousands of ps) — make this essential.
 func (s *Solver) equilibrate() {
-	if s.set.ScaleIters <= 0 {
-		return
-	}
 	n, m := s.n, s.m
-	for it := 0; it < s.set.ScaleIters; it++ {
+	for it := 0; it < scaleIters; it++ {
 		colA := s.a.ColInfNorms()
 		var colP []float64
 		if s.p != nil {
@@ -607,7 +618,8 @@ func (s *Solver) snapCounters() ctrSnap {
 
 // emitTelemetry publishes the per-solve observation block: pure
 // observation after the solve, so it cannot perturb the trajectory.
-func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, warm bool) {
+func (s *Solver) emitTelemetry(ctx context.Context, res *Result) {
+	c0 := s.c0
 	symbolic, reorders := s.nSymbolic-s.symbolicMark, s.nReorder-s.reordMark
 	s.symbolicMark, s.reordMark = s.nSymbolic, s.nReorder
 	rec := obs.From(ctx)
@@ -628,7 +640,7 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 	rec.Add("qp/solve_rhs", s.nSolveRHS-c0.solveRHS)
 	rec.Add("qp/symbolic_passes", symbolic)
 	rec.Add("qp/reorders", reorders)
-	if warm {
+	if s.warm {
 		rec.Add("qp/warm_start_hits", 1)
 	}
 	rec.Set("qp/prim_res", res.PrimRes)
@@ -638,102 +650,190 @@ func (s *Solver) emitTelemetry(ctx context.Context, res *Result, c0 ctrSnap, war
 }
 
 // SolveCtx runs ADMM from the current iterate (zero on first use, or
-// the previous solution / warm start on subsequent calls).  The context
-// is checked at every iteration boundary: a canceled context stops the
-// loop within one iteration, returning the best iterate so far together
-// with an error that wraps context.Canceled.  A zero pivot in the LDLᵀ
-// factor of K stops the loop the same way, with an error wrapping
-// errNotPositiveDefinite.
+// the previous solution / warm start on subsequent calls), as a family
+// of one (see solveFamily).  The context is checked at every iteration
+// boundary: a canceled context stops the loop within one iteration,
+// returning the best iterate so far together with an error that wraps
+// context.Canceled.  A zero pivot in the LDLᵀ factor of K stops the
+// loop the same way, with an error wrapping errNotPositiveDefinite.
 func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
-	n, m := s.n, s.m
-	set := s.set
+	fam := [1]*Solver{s}
+	var res [1]*Result
+	err := solveFamily(ctx, fam[:], res[:])
+	return res[0], err
+}
+
+// solveFamily is the ADMM loop.  It advances every solver of the family
+// in lockstep through its iterations, writing one Result per member into
+// results.  Every iteration assembles one right-hand side per live
+// member and hands the block to the lead solver's LDLᵀ factor as a
+// single multi-RHS solve, so the factor streams through cache once per
+// iteration instead of once per member.  A family of more than one
+// member must pass batchCompatible; a family of one is a plain solve.
+//
+// A member that converges (or certifies infeasibility) freezes — its
+// iterate stops moving while the rest of the family continues.  ρ is
+// adapted once for the whole family from the worst tolerance-normalized
+// residuals and stays equal across members, so the family remains
+// batchable on the next call.  Members are visited in slice order at
+// every step and the residual scores aggregate with max (order-free),
+// so the family's trajectory is reproducible for every worker count.
+func solveFamily(ctx context.Context, solvers []*Solver, results []*Result) error {
+	host := solvers[0]
+	set := host.set
 	workers := par.Workers(set.Workers)
-	res := &Result{Status: MaxIterations, RhoFinal: s.rho}
+	batch := len(solvers) > 1
 
-	dyAcc := s.dyAcc // accumulated δy for infeasibility cert
-	for i := range dyAcc {
-		dyAcc[i] = 0
+	live := host.live[:0]
+	for q, s := range solvers {
+		results[q] = &Result{Status: MaxIterations, RhoFinal: s.rho}
+		s.c0 = s.snapCounters()
+		s.warm = s.solves > 0 || s.warmed
+		clear(s.dyAcc) // accumulated δy for the infeasibility certificate
+		// Stall-restart state: ADMM with a drifted splitting variable or
+		// a runaway adaptive ρ can wedge — residuals flat for hundreds of
+		// iterations — while the same iterate re-anchored (z ← Ax,
+		// ρ ← ρ₀) converges in a few dozen.  Track the best
+		// tolerance-normalized residual score seen; after stallWindow
+		// consecutive checks without meaningful progress, restart in
+		// place.
+		s.bestScore = math.Inf(1)
+		s.stalledChecks = 0
+		live = append(live, q)
 	}
-	c0 := s.snapCounters()
+	xs, bs := host.xs, host.bs
+
 	var cause error
-
-	// Stall-restart state: ADMM with a drifted splitting variable or a
-	// runaway adaptive ρ can wedge — residuals flat for hundreds of
-	// iterations — while the same iterate re-anchored (z ← Ax, ρ ← ρ₀)
-	// converges in a few dozen.  Track the best tolerance-normalized
-	// residual score seen; after stallWindow consecutive checks without
-	// meaningful progress, restart in place.
-	bestScore := math.Inf(1)
-	stalledChecks := 0
-
-	for iter := 1; iter <= set.MaxIter; iter++ {
+	for iter := 1; iter <= set.MaxIter && len(live) > 0; iter++ {
 		if err := ctx.Err(); err != nil {
 			cause = fmt.Errorf("qp: canceled at iteration %d: %w", iter, err)
-			res.Iters = iter - 1
+			for _, q := range live {
+				results[q].Iters = iter - 1
+			}
 			break
 		}
-		// x-step: (P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y)
-		s.assembleXStepRHS()
-		if err := s.lin.solve(s.xt, s.rhs); err != nil {
+
+		// x-step: (P + σI + ρAᵀA) x̃ = σx − q + Aᵀ(ρz − y), one
+		// right-hand side per live member against the lead's factor.
+		xs, bs = xs[:0], bs[:0]
+		for _, q := range live {
+			s := solvers[q]
+			s.assembleXStepRHS()
+			xs = append(xs, s.xt)
+			bs = append(bs, s.rhs)
+		}
+		if err := host.lin.solve(xs, bs, batch); err != nil {
 			cause = fmt.Errorf("qp: x-step at iteration %d: %w", iter, err)
-			res.Iters = iter - 1
+			for _, q := range live {
+				results[q].Iters = iter - 1
+			}
 			break
 		}
 
 		// z̃ = A x̃, then the over-relaxed iterate updates.
-		s.a.MulVecW(s.zt, s.xt, workers)
-		s.applyRelaxation()
+		for _, q := range live {
+			s := solvers[q]
+			s.a.MulVecW(s.zt, s.xt, workers)
+			s.applyRelaxation()
+		}
 
 		if iter%set.CheckEvery != 0 && iter != set.MaxIter {
 			continue
 		}
 
-		prim, dual, epsP, epsD := s.residuals()
-		res.Iters = iter
-		res.PrimRes, res.DualRes = prim, dual
-		if prim <= epsP && dual <= epsD {
-			res.Status = Solved
+		// Residual checks per live member; converged and infeasible
+		// members freeze.  The worst tolerance-normalized residuals
+		// across the members that remain drive the shared ρ.
+		keep := live[:0]
+		primScore, dualScore := 0.0, 0.0
+		restart := false
+		for _, q := range live {
+			s := solvers[q]
+			res := results[q]
+			prim, dual, epsP, epsD := s.residuals()
+			res.Iters = iter
+			res.PrimRes, res.DualRes = prim, dual
+			if prim <= epsP && dual <= epsD {
+				res.Status = Solved
+				continue
+			}
+			if s.primalInfeasible(s.dyAcc) {
+				res.Status = PrimalInfeasible
+				continue
+			}
+			clear(s.dyAcc)
+			if v := prim / epsP; v > primScore {
+				primScore = v
+			}
+			if v := dual / epsD; v > dualScore {
+				dualScore = v
+			}
+			if score := math.Max(prim/epsP, dual/epsD); score < 0.99*s.bestScore {
+				s.bestScore = score
+				s.stalledChecks = 0
+			} else if s.stalledChecks++; s.stalledChecks >= stallWindow {
+				// In-place restart: z re-anchored per member, ρ reset for
+				// the family below.
+				s.a.MulVec(s.z, s.x)
+				s.stalledChecks = 0
+				res.Restarts++
+				restart = true
+			}
+			keep = append(keep, q)
+		}
+		live = keep
+		if len(live) == 0 {
 			break
 		}
-		if s.primalInfeasible(dyAcc) {
-			res.Status = PrimalInfeasible
-			break
+		// Shared ρ: one factor means one ρ for the family.  A stall
+		// restart resets to the initial rung (re-hitting the first
+		// factor's cache key).  Otherwise ρ adapts on a 2× imbalance of
+		// the residual scores, clamped to [1e-6, 1e6] and snapped to the
+		// ρ-ladder.  The 2× trigger is deliberately eager: a mild ρ misfit
+		// that the classical 5× threshold tolerates can grind for
+		// hundreds of iterations, and with the ρ-ladder factor cache an
+		// adaptation that revisits a known rung costs a snapshot restore,
+		// not a numeric refactorization.  Frozen members track the shared
+		// ρ too, so the family stays batch-compatible for the caller's
+		// next round.
+		newRho := host.rho
+		if restart {
+			newRho = set.Rho
+		} else if primScore > 0 && dualScore > 0 {
+			ratio := math.Sqrt(primScore / dualScore)
+			if ratio > 2 || ratio < 0.5 {
+				newRho = rhoRung(min(max(host.rho*ratio, 1e-6), 1e6))
+			}
 		}
-		for i := range dyAcc {
-			dyAcc[i] = 0
-		}
-		if set.AdaptiveRho {
-			s.adaptRho(prim, dual, epsP, epsD)
-		}
-		if score := math.Max(prim/epsP, dual/epsD); score < 0.99*bestScore {
-			bestScore = score
-			stalledChecks = 0
-		} else if stalledChecks++; stalledChecks >= stallWindow {
-			s.a.MulVec(s.z, s.x)
-			s.rho = set.Rho
-			stalledChecks = 0
-			res.Restarts++
+		if newRho != host.rho {
+			for _, s := range solvers {
+				s.rho = newRho
+			}
 		}
 	}
+	host.live, host.xs, host.bs = live[:0], xs[:0], bs[:0]
 
-	// Unscale solution.
-	res.X = make([]float64, n)
-	for j := 0; j < n; j++ {
-		res.X[j] = s.d[j] * s.x[j]
+	// Unscale and publish every member.  Frozen members kept the iterate
+	// of the check they terminated at; the rest hold the final iterate.
+	for q, s := range solvers {
+		res := results[q]
+		res.X = make([]float64, s.n)
+		for j := range res.X {
+			res.X[j] = s.d[j] * s.x[j]
+		}
+		res.Y = make([]float64, s.m)
+		for i := range res.Y {
+			res.Y[i] = s.cinv * s.e[i] * s.y[i]
+		}
+		res.Obj = s.Objective(res.X)
+		res.RhoFinal = s.rho
+		s.solves++
+		s.emitTelemetry(ctx, res)
 	}
-	res.Y = make([]float64, m)
-	for i := 0; i < m; i++ {
-		res.Y[i] = s.cinv * s.e[i] * s.y[i]
+	if batch {
+		obs.From(ctx).Add("qp/batch_lockstep_solves", 1)
 	}
-	res.Obj = s.Objective(res.X)
-	res.RhoFinal = s.rho
-
-	// A solve is a warm-start hit when it reuses iterate state — any
-	// solve after the first, or after an explicit WarmStart.
-	warm := s.solves > 0 || s.warmed
-	s.solves++
-	s.emitTelemetry(ctx, res, c0, warm)
-	return res, cause
+	return cause
 }
 
 // residuals computes unscaled primal/dual residuals and their tolerances.
@@ -796,7 +896,7 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 	if normDy < 1e-12 {
 		return false
 	}
-	eps := s.set.EpsInfeas * normDy
+	eps := epsInfeas * normDy
 	aty := s.resAty
 	s.a.MulTVec(aty, dy)
 	// Unscale: columns j carry d[j]; certificate needs ‖D⁻¹?‖... we work
@@ -819,29 +919,6 @@ func (s *Solver) primalInfeasible(dy []float64) bool {
 		}
 	}
 	return support < -eps
-}
-
-func (s *Solver) adaptRho(prim, dual, epsP, epsD float64) {
-	if dual <= 0 || prim <= 0 {
-		return
-	}
-	// Normalize residuals by their tolerances so the ratio is unitless.
-	// The 2× trigger is deliberately eager: a mild ρ misfit that the
-	// classical 5× threshold tolerates can grind for hundreds of
-	// iterations, and with the ρ-ladder factor cache an adaptation that
-	// revisits a known rung costs a snapshot restore, not a numeric
-	// refactorization.
-	ratio := math.Sqrt((prim / epsP) / (dual / epsD))
-	if ratio > 2 || ratio < 0.5 {
-		rho := s.rho * ratio
-		if rho < 1e-6 {
-			rho = 1e-6
-		}
-		if rho > 1e6 {
-			rho = 1e6
-		}
-		s.rho = rhoRung(rho)
-	}
 }
 
 // rhoRung quantizes ρ onto the geometric quarter-decade ladder

@@ -197,6 +197,38 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsTooFineTiling: a dose grid or bias tiling finer than
+// place.MaxTiles cells is refused with a 400 at admission on both the
+// async and the synchronous endpoint — before Prepare, which would
+// otherwise allocate until the process dies — and the daemon keeps
+// serving.
+func TestHTTPRejectsTooFineTiling(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxRunning: 1})
+	bad := []string{
+		`{"design":"AES-65","scale":0.05,"grid_um":0.001}`,
+		`{"design":"AES-65","scale":0.05,"grid_um":1e-300}`,
+		`{"design":"AES-65","scale":0.05,"actuators":"bias","bias_grid_um":1e-300}`,
+		`{"design":"AES-65","scale":0.05,"actuators":"joint","bias_grid_um":1e-300}`,
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/solve"} {
+		for _, body := range bad {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s %s: %v", path, body, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "limit") {
+				t.Errorf("POST %s %s: %d %s, want 400 naming the tile limit", path, body, resp.StatusCode, msg)
+			}
+		}
+	}
+	var ok map[string]string
+	if resp := getJSON(t, ts.URL+"/healthz", &ok); resp.StatusCode != http.StatusOK || ok["status"] != "ok" {
+		t.Fatalf("healthz after rejections: %d %v", resp.StatusCode, ok)
+	}
+}
+
 // TestDosePlPrivatePlacement: dosePl jobs mutate cell positions, so
 // the server runs them on a private placement copy
 // (api.Artifacts.WithPrivatePlacement).  The cached design — which
